@@ -370,8 +370,7 @@ ScenarioOutcome run_disk_sharded(const Scenario& s, const core::Automaton& a,
   // legitimate leg, not a violation.
   options.resume = true;
   const phasespace::SupervisedShardedBuild second =
-      phasespace::supervised_synchronous_sharded(a, options,
-                                                 supervisor_options(s));
+      phasespace::supervised_sharded(a, {}, options, supervisor_options(s));
   if (second.report.state == runtime::SupervisedState::kTruncated) {
     if (second.build.build.states_built > count) {
       out.note = "mode C truncated resume pass overcounts states";

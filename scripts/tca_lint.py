@@ -31,6 +31,13 @@ cannot express because they are *project* conventions, not language rules
                  (orders match actual sites) lives in tca_analyze.py;
                  this rule is the cheap config-staleness guard that also
                  runs when the analyzer is skipped.
+  fixed-temp-path
+                 no literal `temp_directory_path() / "..."` in tests/:
+                 gtest_discover_tests runs each test case as its own
+                 process, so under `ctest -j` a fixed path is shared by
+                 concurrent tests and one test's cleanup deletes
+                 another's files. tests/temp_dir.hpp's TempDir is per
+                 process and per test.
   hot-path-roots every entry in HOT_PATH_ROOTS — the registry of
                  TCA_HOT_PATH-annotated hot loops that tca_analyze.py's
                  hot-path check audits (src/core/contracts.hpp) — must
@@ -284,6 +291,24 @@ SPAN_ENTRIES = (
 )
 
 
+FIXED_TEMP_PATH = re.compile(r"temp_directory_path\s*\(\s*\)\s*/\s*\"")
+
+
+def _fixed_temp_path_check(src: SourceFile) -> list[Finding]:
+    # Whole-text match: the literal often sits on the line after the `/`.
+    out = []
+    lines = src.lines
+    for match in FIXED_TEMP_PATH.finditer(src.text):
+        line = src.text.count("\n", 0, match.start()) + 1
+        if not _suppressed(lines, line, "fixed-temp-path"):
+            out.append(Finding(
+                src.relpath, line, "fixed-temp-path",
+                "fixed path under temp_directory_path() is shared by "
+                "concurrent test processes under `ctest -j` — use "
+                "TempDir from tests/temp_dir.hpp"))
+    return out
+
+
 def _relaxed_order_check(src: SourceFile) -> list[Finding]:
     if src.relpath.startswith("src/obs/"):
         return []  # sharded metrics cells are relaxed by design
@@ -347,10 +372,14 @@ RULES: dict[str, Callable[[SourceFile], list[Finding]]] = {
         "deterministic; use steady_clock or plumb entropy in explicitly",
         exempt_dirs=(),
     ),
+    "fixed-temp-path": _fixed_temp_path_check,
 }
 
 # checkpoint-det applies only to src/runtime/ (the checkpointed machinery).
 CHECKPOINT_DET_SCOPE = "src/runtime/"
+# fixed-temp-path applies only to tests/; every other rule only to src/.
+TESTS_SCOPE = "tests/"
+TESTS_RULES = {"fixed-temp-path"}
 
 
 # --- tree-level rules (memory-model-stale, hot-path-roots) --------------
@@ -473,7 +502,10 @@ def check_hot_path_roots(
 
 def lint_file(src: SourceFile) -> list[Finding]:
     findings: list[Finding] = []
+    in_tests = src.relpath.startswith(TESTS_SCOPE)
     for rule, check in RULES.items():
+        if (rule in TESTS_RULES) != in_tests:
+            continue
         if rule == "checkpoint-det" and not src.relpath.startswith(
             CHECKPOINT_DET_SCOPE
         ):
@@ -483,8 +515,8 @@ def lint_file(src: SourceFile) -> list[Finding]:
 
 
 def iter_sources(root: pathlib.Path) -> Iterable[SourceFile]:
-    src_root = root / "src"
-    for path in sorted(src_root.rglob("*")):
+    paths = [p for d in ("src", "tests") for p in sorted((root / d).rglob("*"))]
+    for path in paths:
         if not path.is_file():
             continue
         name = path.name
@@ -613,6 +645,27 @@ _SELFTEST = {
             ("src/runtime/x.cpp",
              "// tca-lint: allow(checkpoint-det) manifest stamp only\n"
              "auto t = std::chrono::system_clock::now();\n"),
+        ],
+    },
+    "fixed-temp-path": {
+        "bad": [
+            ("tests/x_test.cpp",
+             'dir_ = fs::temp_directory_path() / "tca_x_test";\n'),
+            ("tests/y_test.cpp",
+             "const std::string path =\n"
+             "    (std::filesystem::temp_directory_path() /\n"
+             '     "tca_trace.json").string();\n'),
+        ],
+        "good": [
+            ("tests/x_test.cpp",
+             'const tests::TempDir dir("x");\n'
+             'const auto path = dir.path() / "state.ckpt";\n'),
+            ("tests/x_test.cpp",
+             "path_ = fs::temp_directory_path() /\n"
+             '        ("tca_x_" + std::to_string(::getpid()));\n'),
+            # Outside tests/ the rule does not apply.
+            ("src/testing/x.cpp",
+             'const auto dir = fs::temp_directory_path() / "tca_oracle";\n'),
         ],
     },
 }

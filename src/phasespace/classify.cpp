@@ -4,20 +4,16 @@
 
 namespace tca::phasespace {
 
-std::vector<std::uint32_t> in_degrees(const SuccessorStore& store) {
+std::vector<std::uint32_t> in_degrees(const FunctionalGraph& fg) {
   // Streamed, not random access: one sequential pass works identically on
   // the flat, packed and disk backends (the disk backend serves it with
   // bounded pread blocks, no mmap growth).
-  std::vector<std::uint32_t> indeg(store.num_entries(), 0);
-  store.for_each_range(
+  std::vector<std::uint32_t> indeg(fg.num_states(), 0);
+  fg.store().for_each_range(
       [&indeg](StateCode, std::size_t count, const StateCode* block) {
         for (std::size_t j = 0; j < count; ++j) ++indeg[block[j]];
       });
   return indeg;
-}
-
-std::vector<std::uint32_t> in_degrees(const FunctionalGraph& fg) {
-  return in_degrees(fg.store());
 }
 
 Classification classify(const FunctionalGraph& fg) {

@@ -64,13 +64,8 @@ struct Classification {
 /// disk mmap) and the in-degree pass streams via the store.
 [[nodiscard]] Classification classify(const FunctionalGraph& fg);
 
-/// In-degree of each state (preimage counts under F).
+/// In-degree of each state (preimage counts under F), from one sequential
+/// streamed pass over the graph's store (any backend).
 [[nodiscard]] std::vector<std::uint32_t> in_degrees(const FunctionalGraph& fg);
-
-/// Store-generic in-degrees: one sequential streamed pass over any
-/// SuccessorStore backend (the surface the service tier and the disk
-/// censuses use; the FunctionalGraph overload delegates here).
-[[nodiscard]] std::vector<std::uint32_t> in_degrees(
-    const SuccessorStore& store);
 
 }  // namespace tca::phasespace

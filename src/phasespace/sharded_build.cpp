@@ -1,7 +1,7 @@
 #include "phasespace/sharded_build.hpp"
 
-// tca-lint: relaxed-ok(claim cursors, steal tallies and the abandon flag
-// are control-flow only — a stale read costs at most one wasted claim
+// tca-lint: relaxed-ok(claim cursors and the abandon flag are
+// control-flow only — a stale read costs at most one wasted claim
 // probe or one extra shard before stopping. Every byte of phase-space
 // data is published to the caller by the thread-join barrier, and errors
 // travel under error_mu; no reader relies on these atomics for ordering.
@@ -160,7 +160,9 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   const auto num_groups = static_cast<std::uint32_t>(topo.groups.size());
   unsigned workers = options.workers != 0 ? options.workers
                                           : std::max(1u, topo.total_cpus());
-  workers = std::max(1u, workers);
+  // More workers than shards would only spawn idle threads.
+  workers = static_cast<unsigned>(
+      std::min<std::uint64_t>(std::max(1u, workers), plan.shards_total));
 
   out.stats.shards_total = plan.shards_total;
   out.stats.worker_groups = num_groups;
@@ -204,12 +206,22 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
 
   std::shared_ptr<SuccessorStore> store =
       make_store(options.store, bits, options.disk_dir);
+  DiskStore* const disk = options.store == StoreKind::kDisk
+                              ? static_cast<DiskStore*>(store.get())
+                              : nullptr;
+  if (disk != nullptr) disk->publish_every(options.publish_every_states);
 
   // --- kDisk resume: skip shards whose extents revalidate ---------------
+  // shard_done[s]: 0 = to build, kResumed = on disk already, kClaimed /
+  // kStolen = put by a worker of its home / a foreign group. Each entry is
+  // written by the one worker that claimed the shard and read after the
+  // join barrier, which is also where the claim/steal tallies come from.
+  constexpr std::uint8_t kResumed = 1;
+  constexpr std::uint8_t kClaimed = 2;
+  constexpr std::uint8_t kStolen = 3;
   std::vector<std::uint8_t> shard_done(
       static_cast<std::size_t>(plan.shards_total), 0);
-  if (options.store == StoreKind::kDisk && options.resume) {
-    auto* disk = static_cast<DiskStore*>(store.get());
+  if (disk != nullptr && options.resume) {
     for (const DiskStore::Extent& e : disk->resume()) {
       // Only extents that exactly tile a shard are reusable (extent
       // granularity IS shard granularity for every sharded build with
@@ -221,7 +233,7 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
         continue;
       }
       if (shard_done[static_cast<std::size_t>(shard)] == 0) {
-        shard_done[static_cast<std::size_t>(shard)] = 1;
+        shard_done[static_cast<std::size_t>(shard)] = kResumed;
         out.stats.resumed_states += e.count;
       }
     }
@@ -236,15 +248,13 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
     cursors[g].store(region_begin[g], std::memory_order_relaxed);
   }
   std::atomic<bool> abandon{false};
-  std::atomic<std::uint64_t> total_claimed{0};
-  std::atomic<std::uint64_t> total_stolen{0};
   std::mutex error_mu;
   std::exception_ptr first_error;
 
   runtime::RunControl* ctl = &control;
   SuccessorStore* store_raw = store.get();
   const ShardPlan* plan_ptr = &plan;
-  const std::uint8_t* done = shard_done.data();
+  std::uint8_t* done = shard_done.data();
 
   const auto worker_body = [&, ctl, store_raw, plan_ptr,
                             done](unsigned worker_id) TCA_HOT_PATH {
@@ -270,8 +280,6 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
       }
       std::vector<StateCode> staging(static_cast<std::size_t>(
           std::min<StateCode>(plan_ptr->shard_states, plan_ptr->count)));
-      std::uint64_t claimed = 0;
-      std::uint64_t stolen = 0;
       while (!abandon.load(std::memory_order_relaxed)) {
         // Claim: home group first, then sweep the others (steal).
         std::uint64_t shard = ~std::uint64_t{0};
@@ -293,29 +301,37 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
         if (done[shard] != 0) continue;         // resumed from disk
         const StateCode first = plan_ptr->shard_first(shard);
         const std::size_t n_states = plan_ptr->shard_count(shard);
-        // Stream the shard in 1024-blocks so budgets/cancellation trip
-        // mid-shard, not per-shard; a tripped shard is NOT stored (the
-        // store keeps whole shards only — that is what makes disk
-        // extents exact and resumable).
+        // Admit the whole shard against the state budget before computing
+        // it, so the budget decides how many shards land, not the worker
+        // count.
+        if (ctl->note_states(n_states) != runtime::StopReason::kNone) {
+          abandon.store(true, std::memory_order_relaxed);
+          break;
+        }
+        // Stream the shard in 1024-blocks so cancellation and the
+        // deadline trip mid-shard; a budget another worker tripped lets
+        // this admitted shard finish. A tripped shard is NOT stored (the
+        // store keeps whole shards only — that is what makes disk extents
+        // exact and resumable).
         bool whole = true;
         for (std::size_t done_states = 0; done_states < n_states;) {
-          const auto block =
-              std::min<std::size_t>(1024, n_states - done_states);
-          if (ctl->note_states(block) != runtime::StopReason::kNone) {
+          const runtime::StopReason reason = ctl->check();
+          if (reason == runtime::StopReason::kCancelled ||
+              reason == runtime::StopReason::kDeadline) {
             whole = false;
             abandon.store(true, std::memory_order_relaxed);
             break;
           }
+          const auto block =
+              std::min<std::size_t>(1024, n_states - done_states);
           stepper.step_range(first + done_states, block,
                              staging.data() + done_states);
           done_states += block;
         }
         if (!whole) break;
         store_raw->put_range(first, n_states, staging.data());
-        ++(is_steal ? stolen : claimed);
+        done[shard] = is_steal ? kStolen : kClaimed;
       }
-      total_claimed.fetch_add(claimed, std::memory_order_relaxed);
-      total_stolen.fetch_add(stolen, std::memory_order_relaxed);
     } catch (...) {
       {
         const std::lock_guard<std::mutex> lock(error_mu);
@@ -353,33 +369,30 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   worker_body(0);
   for (std::thread& t : threads) t.join();
 
+  for (std::uint64_t shard = 0; shard < plan.shards_total; ++shard) {
+    const std::uint8_t mark = shard_done[static_cast<std::size_t>(shard)];
+    out.stats.shards_claimed += mark == kClaimed ? 1 : 0;
+    out.stats.shards_stolen += mark == kStolen ? 1 : 0;
+    if (mark != 0) out.stats.stored_states += plan.shard_count(shard);
+  }
   if (first_error != nullptr) {
     // Publish what happened before surfacing the failure.
-    out.stats.shards_claimed = total_claimed.load(std::memory_order_relaxed);
-    out.stats.shards_stolen = total_stolen.load(std::memory_order_relaxed);
     publish_shard_tallies(out.stats, control.status().states);
     std::rethrow_exception(first_error);
   }
 
-  out.stats.shards_claimed = total_claimed.load(std::memory_order_relaxed);
-  out.stats.shards_stolen = total_stolen.load(std::memory_order_relaxed);
   out.build.status = control.status();
-
-  const std::uint64_t executed =
-      out.stats.shards_claimed + out.stats.shards_stolen;
-  const std::uint64_t resumed_shards = static_cast<std::uint64_t>(
-      std::count(shard_done.begin(), shard_done.end(), std::uint8_t{1}));
   const bool complete =
-      !out.build.status.truncated() &&
-      executed + resumed_shards == plan.shards_total;
+      !out.build.status.truncated() && out.stats.stored_states == count;
 
   if (!complete) {
     // Shards complete out of order: counts only, like the pool builder.
     // Disk builds still persist their manifest so resume picks up the
     // finished shards.
     out.build.states_built = out.build.status.states;
-    if (options.store == StoreKind::kDisk) {
+    if (disk != nullptr) {
       store->finalize();
+      out.stats.manifests = disk->publications();
       out.store = std::move(store);  // partial, for resume/inspection
     }
     publish_shard_tallies(out.stats, out.build.states_built);
@@ -387,6 +400,7 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   }
 
   store->finalize();
+  if (disk != nullptr) out.stats.manifests = disk->publications();
   out.build.states_built = count;
   out.store = store;
   out.build.graph = FunctionalGraph::from_store(std::move(store));
@@ -451,14 +465,17 @@ ShardedBuild build_sweep_sharded(const core::Automaton& a,
                        control, "build_sweep_sharded");
 }
 
-SupervisedShardedBuild supervised_synchronous_sharded(
-    const core::Automaton& a, ShardedBuildOptions options,
+SupervisedShardedBuild supervised_sharded(
+    const core::Automaton& a, std::vector<core::NodeId> sweep_order,
+    ShardedBuildOptions options,
     const runtime::SupervisorOptions& supervisor_options) {
   SupervisedShardedBuild out;
   runtime::Supervisor supervisor(supervisor_options);
   bool first_attempt = true;
   out.report = supervisor.run(
-      "phasespace.synchronous_sharded", [&](runtime::AttemptContext& ctx) {
+      sweep_order.empty() ? "phasespace.synchronous_sharded"
+                          : "phasespace.sweep_sharded",
+      [&](runtime::AttemptContext& ctx) {
         ShardedBuildOptions attempt = options;
         attempt.rung = ctx.rung;
         // Retries of a disk build reuse every digest-valid shard the
@@ -467,7 +484,10 @@ SupervisedShardedBuild supervised_synchronous_sharded(
           attempt.resume = true;
         }
         first_attempt = false;
-        out.build = build_synchronous_sharded(a, attempt, ctx.control);
+        out.build = sweep_order.empty()
+                        ? build_synchronous_sharded(a, attempt, ctx.control)
+                        : build_sweep_sharded(a, sweep_order, attempt,
+                                              ctx.control);
         return out.build.complete() ? runtime::AttemptOutcome::kCompleted
                                     : runtime::AttemptOutcome::kTruncated;
       });

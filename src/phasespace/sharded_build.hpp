@@ -31,13 +31,14 @@
 // interleaving (pinned by sharded_build_test and the
 // store-backend-agree oracle).
 //
-// Budget/truncation contract (matches build_synchronous_parallel): the
-// store's resident/spill footprint is charged up front, states are
-// charged per 1024-block; a tripped control stops claiming and the
-// build reports counts only (shards complete out of order, so no
-// contiguous prefix exists). On the DISK backend a truncated build
-// still finalizes its manifest, so a follow-up build with resume=true
-// skips every digest-valid shard already on disk.
+// Budget/truncation contract: the store's footprint is charged up front
+// and each shard's states when it is claimed, so a state budget admits
+// floor(budget / shard_states) whole shards whatever the worker count;
+// cancellation and the deadline stop mid-shard (polled per 1024-block).
+// A tripped control stops claiming and the build reports counts only
+// (shards complete out of order: no contiguous prefix). On the DISK
+// backend a truncated build still finalizes its manifest, so a follow-up
+// build with resume=true skips every digest-valid shard already on disk.
 
 #include <cstdint>
 #include <memory>
@@ -80,8 +81,8 @@ struct NumaTopology {
 struct ShardedBuildOptions {
   /// Storage backend the build writes into.
   StoreKind store = StoreKind::kPacked;
-  /// Worker threads (0 = one per probed CPU). Clamped to >= 1; the
-  /// calling thread is worker 0.
+  /// Worker threads (0 = one per probed CPU). Clamped to [1, shards];
+  /// the calling thread is worker 0.
   unsigned workers = 0;
   /// States per shard. Rounded UP to a multiple of kPutAlign (512) so
   /// shards never share a packed word or disk byte; the final shard is
@@ -92,6 +93,10 @@ struct ShardedBuildOptions {
   /// kDisk only: revalidate extents already on disk (digest check
   /// against the manifest) and skip rebuilding shards they cover.
   bool resume = false;
+  /// kDisk only: publish a resume manifest after every this many newly
+  /// spilled states (DiskStore::publish_every); 0 = only when the build
+  /// ends.
+  StateCode publish_every_states = 0;
   /// Best-effort pthread affinity of each worker to its group's CPUs.
   /// Off by default: pinning helps throughput on multi-node hosts but
   /// is wrong for shared CI runners.
@@ -107,8 +112,10 @@ struct ShardStats {
   std::uint64_t shards_claimed = 0;   ///< claimed from the worker's group
   std::uint64_t shards_stolen = 0;    ///< claimed from a foreign group
   std::uint64_t resumed_states = 0;   ///< kDisk resume: states not rebuilt
+  std::uint64_t stored_states = 0;    ///< in whole shards: what resume skips
+  std::uint64_t manifests = 0;        ///< kDisk manifests published
   std::uint32_t worker_groups = 0;
-  std::uint32_t workers = 0;
+  std::uint32_t workers = 0;          ///< after clamping to the shards
 };
 
 /// Outcome of a sharded build: the usual FunctionalGraphBuild contract
@@ -135,17 +142,20 @@ struct ShardedBuild {
     const core::Automaton& a, std::vector<core::NodeId> order,
     const ShardedBuildOptions& options, runtime::RunControl& control);
 
-/// Supervised wrapper (docs/robustness.md): runs the sharded synchronous
-/// build under a runtime::Supervisor, walking the engine-degradation
-/// ladder on pressure exactly like supervised_synchronous does for the
-/// serial builder. kDisk builds set resume=true on retry attempts so a
-/// failed attempt's completed shards are not recomputed.
+/// Supervised wrapper (docs/robustness.md): runs a sharded build under a
+/// runtime::Supervisor, walking the engine-degradation ladder on
+/// pressure exactly like supervised_synchronous does for the serial
+/// builder. An empty `sweep_order` builds the synchronous phase space, a
+/// non-empty one the sweep of that order (sweep steppers run the
+/// dispatched tier at every rung). kDisk builds set resume=true on retry
+/// attempts so a failed attempt's completed shards are not recomputed.
 struct SupervisedShardedBuild {
-  ShardedBuild build;
+  ShardedBuild build;  ///< the last attempt that returned
   runtime::SupervisorReport report;
 };
-[[nodiscard]] SupervisedShardedBuild supervised_synchronous_sharded(
-    const core::Automaton& a, ShardedBuildOptions options,
+[[nodiscard]] SupervisedShardedBuild supervised_sharded(
+    const core::Automaton& a, std::vector<core::NodeId> sweep_order,
+    ShardedBuildOptions options,
     const runtime::SupervisorOptions& supervisor);
 
 }  // namespace tca::phasespace

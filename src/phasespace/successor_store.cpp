@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -85,6 +86,17 @@ void pack_entries(const StateCode* src, std::size_t count, std::uint32_t n,
   }
 }
 
+/// The little-endian 64-bit word at p (the stream's byte order on every
+/// host), as one unaligned load.
+[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
 /// Unpacks count n-bit values from a byte stream, the first starting at
 /// bit offset `bit0` (< 8) within src. src must extend 8 bytes past the
 /// last byte actually touched by a value's low bit (callers over-read
@@ -97,11 +109,7 @@ void unpack_entries(const std::uint8_t* src, std::size_t count,
   for (std::size_t i = 0; i < count; ++i, bit += n) {
     const std::size_t byte = static_cast<std::size_t>(bit >> 3);
     const auto sh = static_cast<std::uint32_t>(bit & 7);
-    std::uint64_t window = 0;
-    for (int b = 7; b >= 0; --b) {
-      window = (window << 8) | src[byte + static_cast<std::size_t>(b)];
-    }
-    dst[i] = (window >> sh) & mask;
+    dst[i] = (load_le64(src + byte) >> sh) & mask;
   }
 }
 
@@ -260,7 +268,11 @@ struct DiskStore::Ledger {
   std::mutex mu;
   std::vector<Extent> extents;
   std::uint64_t spilled_bytes = 0;
+  StateCode publish_every = 0;
+  StateCode unpublished = 0;  // entries put since the last snapshot
   bool finalized = false;
+  std::mutex publish_mu;  // one manifest write at a time; taken before mu
+  std::uint64_t publications = 0;  // guarded by publish_mu
   std::mutex map_mu;  // one-shot lazy mmap
 };
 
@@ -390,11 +402,7 @@ StateCode DiskStore::get(StateCode s) const {
   const std::uint64_t bit = s * bits_;
   const auto byte = static_cast<std::size_t>(bit >> 3);
   const auto sh = static_cast<std::uint32_t>(bit & 7);
-  std::uint64_t window = 0;
-  for (int b = 7; b >= 0; --b) {
-    window = (window << 8) | map_[byte + static_cast<std::size_t>(b)];
-  }
-  return (window >> sh) & value_mask_;
+  return (load_le64(map_ + byte) >> sh) & value_mask_;
 }
 
 void DiskStore::put_range(StateCode first, std::size_t count,
@@ -424,13 +432,24 @@ void DiskStore::put_range(StateCode first, std::size_t count,
   const std::uint64_t digest = core::fnv1a64(std::string_view(
       reinterpret_cast<const char*>(packed.data()),
       static_cast<std::size_t>(bytes)));
+  bool publish_due = false;
   {
     std::lock_guard<std::mutex> lock(ledger_->mu);
     ledger_->extents.push_back(Extent{first, count, digest});
     ledger_->spilled_bytes += bytes;
+    ledger_->unpublished += count;
+    publish_due = ledger_->publish_every != 0 &&
+                  ledger_->unpublished >= ledger_->publish_every;
   }
   static obs::Counter& spill = obs::counter("store.spill_bytes");
   spill.add(bytes);
+  if (publish_due) {
+    // Never wait for a publish in progress (a builder would stall on its
+    // fsync): the first put_range after it ends publishes these extents.
+    std::unique_lock<std::mutex> serial(ledger_->publish_mu,
+                                        std::try_to_lock);
+    if (serial.owns_lock()) write_manifest();
+  }
 }
 
 void DiskStore::read_range(StateCode first, std::size_t count,
@@ -458,11 +477,38 @@ void DiskStore::read_range(StateCode first, std::size_t count,
 }
 
 void DiskStore::finalize() {
-  std::vector<Extent> extents;
   {
     std::lock_guard<std::mutex> lock(ledger_->mu);
     ledger_->finalized = true;
+  }
+  publish();
+}
+
+void DiskStore::publish_every(StateCode entries) {
+  std::lock_guard<std::mutex> lock(ledger_->mu);
+  ledger_->publish_every = entries;
+}
+
+std::uint64_t DiskStore::publications() const {
+  std::lock_guard<std::mutex> lock(ledger_->publish_mu);
+  return ledger_->publications;
+}
+
+void DiskStore::publish() {
+  std::lock_guard<std::mutex> serial(ledger_->publish_mu);
+  write_manifest();
+}
+
+void DiskStore::write_manifest() {
+  // Runs under publish_mu, so manifests land in snapshot order. Every
+  // extent in the snapshot was pwritten before it entered the ledger, so
+  // the fsync below makes all of them durable before the manifest names
+  // them.
+  std::vector<Extent> extents;
+  {
+    std::lock_guard<std::mutex> lock(ledger_->mu);
     extents = ledger_->extents;
+    ledger_->unpublished = 0;
   }
   if (::fsync(fd_) != 0) {
     throw tca::CheckpointError(
@@ -485,6 +531,7 @@ void DiskStore::finalize() {
   runtime::Checkpoint ckpt;
   ckpt.payload = std::move(payload);
   manifest.save(ckpt);
+  ++ledger_->publications;
 }
 
 std::vector<DiskStore::Extent> DiskStore::resume() {

@@ -213,8 +213,9 @@ class PackedStore final : public SuccessorStore {
 /// put_range requires kPutAlign alignment (first % 512 == 0, and count %
 /// 512 == 0 unless the range ends at num_entries) so concurrent extents
 /// touch disjoint whole bytes; unaligned writes throw tca::StateError.
-/// finalize() fsyncs the data file then writes the manifest — an extent
-/// is durable-and-trusted only once a manifest naming it lands.
+/// publish() (and finalize(), the last one) fsyncs the data file, then
+/// writes a manifest naming every extent spilled so far — an extent is
+/// durable-and-trusted only once a manifest naming it lands.
 ///
 /// resume() (before any put_range) loads the newest valid manifest,
 /// re-reads every listed extent and KEEPS only those whose bytes still
@@ -238,6 +239,17 @@ class DiskStore final : public SuccessorStore {
                   StateCode* dst) const override;
   void finalize() override;
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept override;
+
+  /// Fsyncs the data file, then writes a manifest naming every extent put
+  /// so far. Safe during concurrent put_range; serialized, so a later
+  /// manifest always lists a superset.
+  void publish();
+  /// Makes put_range publish after every `entries` newly spilled entries,
+  /// or at the first put_range after a publish in progress ends (0, the
+  /// default: only finalize publishes).
+  void publish_every(StateCode entries);
+  /// Manifests written by this instance (publish() and finalize()).
+  [[nodiscard]] std::uint64_t publications() const;
 
   /// One recorded spill: entries [first, first + count).
   struct Extent {
@@ -263,6 +275,7 @@ class DiskStore final : public SuccessorStore {
 
  private:
   void map_for_reads() const;
+  void write_manifest();  // caller holds the ledger's publish mutex
   [[nodiscard]] std::uint64_t data_bytes() const noexcept;
 
   std::string dir_;

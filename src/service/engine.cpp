@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -12,8 +15,8 @@
 #include "obs/trace.hpp"
 #include "phasespace/classify.hpp"
 #include "phasespace/preimage.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "phasespace/supervised.hpp"
-#include "runtime/ckpt_store.hpp"
 #include "runtime/error.hpp"
 
 namespace tca::service {
@@ -21,70 +24,33 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Resume-checkpoint payload: two text header lines (the canonical key,
-/// so a digest collision can never seed the wrong build, and the built
-/// count) followed by the successor-table prefix as explicit
-/// little-endian uint64 bytes (portable, unlike a memcpy of the vector).
-std::string encode_resume_payload(const std::string& key,
-                                  const std::vector<phasespace::StateCode>& succ,
-                                  std::uint64_t built) {
-  std::string payload = key + "\nbuilt=" + std::to_string(built) + "\n";
-  payload.reserve(payload.size() + built * 8);
-  for (std::uint64_t i = 0; i < built; ++i) {
-    std::uint64_t v = succ[i];
-    for (int b = 0; b < 8; ++b) {
-      payload += static_cast<char>(v & 0xFF);
-      v >>= 8;
-    }
+/// The store directory is named by the query digest; a `key` file holding
+/// the canonical key stops a digest collision from seeding another query's
+/// build: a foreign or missing key wipes the directory first.
+void claim_store_dir(const fs::path& dir, const std::string& key) {
+  std::string held;
+  if (std::ifstream in{dir / "key", std::ios::binary}) {
+    held.assign(std::istreambuf_iterator<char>(in), {});
   }
-  return payload;
+  if (held == key) return;
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  fs::create_directories(dir, ec);
+  std::ofstream(dir / "key", std::ios::binary) << key;
 }
 
-/// Parses a resume payload into succ[0 .. built); false on any mismatch
-/// (foreign key, bad framing, impossible count) — the caller then builds
-/// from scratch.
-bool decode_resume_payload(const std::string& payload, const std::string& key,
-                           std::uint64_t total,
-                           std::vector<phasespace::StateCode>& succ,
-                           std::uint64_t& built) {
-  const std::size_t nl1 = payload.find('\n');
-  if (nl1 == std::string::npos || payload.compare(0, nl1, key) != 0) {
-    return false;
-  }
-  const std::size_t nl2 = payload.find('\n', nl1 + 1);
-  if (nl2 == std::string::npos) return false;
-  const std::string count_line = payload.substr(nl1 + 1, nl2 - nl1 - 1);
-  if (count_line.rfind("built=", 0) != 0) return false;
-  std::uint64_t count = 0;
-  for (const char c : count_line.substr(6)) {
-    if (c < '0' || c > '9') return false;
-    count = count * 10 + static_cast<std::uint64_t>(c - '0');
-    if (count > total) return false;
-  }
-  if (payload.size() - (nl2 + 1) != count * 8) return false;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t v = 0;
-    for (int b = 7; b >= 0; --b) {
-      v = (v << 8) | static_cast<std::uint8_t>(
-                         payload[nl2 + 1 + i * 8 + static_cast<std::size_t>(b)]);
-    }
-    succ[i] = v;
-  }
-  built = count;
-  return true;
-}
-
-/// Builds the per-attempt stepper. Synchronous builds honor the
-/// degradation-ladder rung; sweep builds have no rung-forced constructor
-/// (the sweep map is inherently per-code) and run the dispatched tier at
-/// every rung.
-phasespace::BatchCodeStepper make_stepper(const core::Automaton& a,
-                                          const ServiceQuery& query,
-                                          runtime::EngineRung rung) {
-  if (query.scheme == Scheme::kSweep) {
-    return phasespace::BatchCodeStepper(a, query.effective_order());
-  }
-  return phasespace::BatchCodeStepper(a, rung);
+/// Streams a completed store into a fresh one of `kind` (sequential
+/// pread on disk), so results derive from RAM, not the disk store's mmap.
+std::shared_ptr<phasespace::SuccessorStore> copy_store(
+    const phasespace::SuccessorStore& from, phasespace::StoreKind kind) {
+  std::shared_ptr<phasespace::SuccessorStore> to =
+      phasespace::make_store(kind, from.bits());
+  from.for_each_range([&](phasespace::StateCode first, std::size_t count,
+                          const phasespace::StateCode* block) {
+    to->put_range(first, count, block);
+  });
+  to->finalize();
+  return to;
 }
 
 /// Derives the typed result from a completed explicit graph. Every path
@@ -113,10 +79,9 @@ QueryResult result_from_graph(const ServiceQuery& query,
       break;
     }
     case QueryKind::kGoeCensus: {
-      const std::vector<std::uint32_t> indeg =
-          phasespace::in_degrees(fg.store());
-      r.gardens = static_cast<std::uint64_t>(
-          std::count(indeg.begin(), indeg.end(), 0u));
+      runtime::RunControl unlimited{runtime::RunBudget{}};
+      r.gardens = phasespace::count_gardens_of_eden(fg.store(), unlimited)
+                      .gardens;
       r.scanned = fg.num_states();
       break;
     }
@@ -140,13 +105,16 @@ QueryResult result_from_graph(const ServiceQuery& query,
 
 }  // namespace
 
-runtime::RunBudget RequestBudget::to_run_budget() const {
-  runtime::RunBudget budget;
-  budget.max_states = max_states;
+runtime::SupervisorOptions RequestBudget::supervise(
+    runtime::SupervisorOptions options, runtime::CancelToken token) const {
+  options.attempt_budget = runtime::RunBudget{};
+  options.attempt_budget.max_states = max_states;
   if (wall_ms != 0) {
-    budget.wall_limit = std::chrono::milliseconds(wall_ms);
+    options.attempt_budget.wall_limit = std::chrono::milliseconds(wall_ms);
+    options.deadline = std::chrono::milliseconds(wall_ms);
   }
-  return budget;
+  options.token = std::move(token);
+  return options;
 }
 
 /// FIFO-ish admission: holds one of max_concurrent_builds slots for the
@@ -246,21 +214,14 @@ QueryOutcome QueryEngine::run_goe_supervised(const ServiceQuery& query,
   const AdmissionSlot slot(*this);
   supervised.add();
 
-  runtime::SupervisorOptions opts = options_.supervisor;
-  opts.attempt_budget = budget.to_run_budget();
-  if (budget.wall_ms != 0) {
-    opts.deadline = std::chrono::milliseconds(budget.wall_ms);
-  }
-  opts.token = std::move(token);
-
   const core::Automaton a = query.automaton();
   const phasespace::SupervisedGoeCensus sup =
-      phasespace::supervised_goe_census(a, opts);
+      phasespace::supervised_goe_census(
+          a, budget.supervise(options_.supervisor, std::move(token)));
 
   QueryOutcome out;
   out.degraded = sup.report.degraded;
   out.states_total = std::uint64_t{1} << query.n;
-  out.states_done = sup.census.scanned;
   out.stop_reason = sup.census.stop_reason;
   if (!sup.report.ok()) {
     out.status = QueryOutcome::Status::kFailed;
@@ -275,6 +236,7 @@ QueryOutcome QueryEngine::run_goe_supervised(const ServiceQuery& query,
     return out;
   }
   out.status = QueryOutcome::Status::kOk;
+  out.states_done = out.states_total;
   out.result.kind = query.kind;
   out.result.num_states = out.states_total;
   out.result.gardens = sup.census.gardens;
@@ -298,131 +260,9 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
   builds.add();
 
   const core::Automaton a = query.automaton();
-  const std::uint64_t total = std::uint64_t{1} << query.n;
-  const std::string key = query.canonical_key();
-
   QueryOutcome out;
-  out.states_total = total;
+  out.states_total = std::uint64_t{1} << query.n;
 
-  std::vector<phasespace::StateCode> succ;
-  try {
-    succ.resize(total);
-  } catch (const std::bad_alloc&) {
-    out.status = QueryOutcome::Status::kFailed;
-    out.error_code = ErrorCode::kDomainTooLarge;
-    out.error = "successor table allocation failed";
-    failed.add();
-    return out;
-  }
-  std::uint64_t built = 0;
-
-  const bool small = query.n <= options_.small_n_bits;
-  const bool resumable = !small && !options_.ckpt_dir.empty();
-  std::optional<runtime::CheckpointStore> store;
-  if (resumable) {
-    std::error_code ec;
-    fs::create_directories(options_.ckpt_dir, ec);
-    store.emplace(
-        (fs::path(options_.ckpt_dir) / (query.digest() + ".ckpt")).string());
-    if (auto recovery = store->load_latest()) {
-      if (decode_resume_payload(recovery->checkpoint.payload, key, total, succ,
-                                built)) {
-        out.resumed = true;
-        resume_resumed.add();
-        obs::log_event(obs::LogLevel::kInfo, "service.resume",
-                       {{"key", key}, {"built", built}, {"total", total}});
-      }
-    }
-  }
-
-  constexpr std::uint64_t kSegment = 1u << 14;
-  const auto build_segments = [&](phasespace::BatchCodeStepper& stepper,
-                                  runtime::RunControl& control) {
-    std::uint64_t last_saved = built;
-    runtime::StopReason reason = control.note_bytes(total * 8);
-    while (reason == runtime::StopReason::kNone && built < total) {
-      const std::uint64_t chunk = std::min(kSegment, total - built);
-      stepper.step_range(built, static_cast<std::size_t>(chunk),
-                         succ.data() + built);
-      built += chunk;
-      reason = control.note_states(chunk);
-      if (store && built - last_saved >= options_.ckpt_every_states &&
-          built < total) {
-        runtime::Checkpoint ckpt;
-        ckpt.payload = encode_resume_payload(key, succ, built);
-        store->save(ckpt);
-        resume_saved.add();
-        last_saved = built;
-      }
-    }
-    // Persist progress past the last cadence point when stopping early, so
-    // the next identical request resumes from here.
-    if (store && built < total && built > last_saved) {
-      runtime::Checkpoint ckpt;
-      ckpt.payload = encode_resume_payload(key, succ, built);
-      store->save(ckpt);
-      resume_saved.add();
-    }
-    return reason;
-  };
-
-  if (small) {
-    small_n.add();
-    runtime::RunControl control(budget.to_run_budget(), std::move(token));
-    phasespace::BatchCodeStepper stepper =
-        make_stepper(a, query, runtime::EngineRung::kWideSimd);
-    phasespace::note_batch_fallback(stepper, a, "service.build");
-    const runtime::StopReason reason = build_segments(stepper, control);
-    if (built < total) {
-      out.status = QueryOutcome::Status::kTruncated;
-      out.stop_reason = reason;
-      out.states_done = built;
-      truncated.add();
-      return out;
-    }
-  } else {
-    supervised.add();
-    runtime::SupervisorOptions opts = options_.supervisor;
-    opts.attempt_budget = budget.to_run_budget();
-    if (budget.wall_ms != 0) {
-      opts.deadline = std::chrono::milliseconds(budget.wall_ms);
-    }
-    opts.token = std::move(token);
-    runtime::Supervisor sup(opts);
-    const runtime::SupervisorReport report = sup.run(
-        "service.build", [&](runtime::AttemptContext& ctx) {
-          phasespace::BatchCodeStepper stepper =
-              make_stepper(a, query, ctx.rung);
-          const runtime::StopReason reason =
-              build_segments(stepper, ctx.control);
-          return reason == runtime::StopReason::kNone && built == total
-                     ? runtime::AttemptOutcome::kCompleted
-                     : runtime::AttemptOutcome::kTruncated;
-        });
-    out.degraded = report.degraded;
-    if (!report.ok()) {
-      out.status = QueryOutcome::Status::kFailed;
-      out.error_code = report.last_error;
-      out.error = report.last_error_what;
-      out.states_done = built;
-      failed.add();
-      return out;
-    }
-    if (built < total) {
-      out.status = QueryOutcome::Status::kTruncated;
-      out.stop_reason = report.last_status.stop_reason;
-      out.states_done = built;
-      truncated.add();
-      return out;
-    }
-  }
-
-  out.states_done = built;
-  // Completed table -> configured storage backend. kFlat adopts the
-  // vector as-is; kPacked re-encodes to n bits per successor and drops
-  // the 8-byte staging table; kDisk spills under ckpt_dir/store/ and
-  // streams results back with bounded RAM. Result derivation is
-  // backend-generic (result_from_graph), so all three agree bit-for-bit.
   phasespace::StoreKind store_kind = options_.store;
   if (store_kind == phasespace::StoreKind::kDisk &&
       options_.ckpt_dir.empty()) {
@@ -431,40 +271,84 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
                     {"fallback", "flat"}});
     store_kind = phasespace::StoreKind::kFlat;
   }
-  std::optional<phasespace::FunctionalGraph> fg;
-  if (store_kind == phasespace::StoreKind::kFlat) {
-    fg.emplace(
-        phasespace::FunctionalGraph::from_table(query.n, std::move(succ)));
-  } else {
-    const std::string disk_dir =
-        store_kind == phasespace::StoreKind::kDisk
-            ? (fs::path(options_.ckpt_dir) / "store" / query.digest()).string()
-            : std::string();
-    std::shared_ptr<phasespace::SuccessorStore> backend =
-        phasespace::make_store(store_kind, query.n, disk_dir);
-    backend->put_range(0, static_cast<std::size_t>(total), succ.data());
-    backend->finalize();
-    succ = {};  // release the 8-byte staging table before deriving results
-    fg.emplace(phasespace::FunctionalGraph::from_store(std::move(backend)));
+
+  // A resumable build spills digested kDisk extents under
+  // ckpt_dir/store/<digest>, publishing a manifest every ckpt_every_states
+  // states; the next identical request builds only the missing shards.
+  const bool small = query.n <= options_.small_n_bits;
+  const bool resumable = !small && !options_.ckpt_dir.empty();
+  phasespace::ShardedBuildOptions build_options;
+  build_options.store = resumable ? phasespace::StoreKind::kDisk : store_kind;
+  if (build_options.store == phasespace::StoreKind::kDisk) {
+    build_options.disk_dir =
+        (fs::path(options_.ckpt_dir) / "store" / query.digest()).string();
   }
+  if (resumable) {
+    claim_store_dir(build_options.disk_dir, query.canonical_key());
+    build_options.resume = true;
+    build_options.publish_every_states = options_.ckpt_every_states;
+  }
+  std::vector<core::NodeId> sweep_order;
+  if (query.scheme == Scheme::kSweep) sweep_order = query.effective_order();
+
+  runtime::SupervisorOptions opts =
+      budget.supervise(options_.supervisor, std::move(token));
+  if (small) {
+    small_n.add();
+    opts.retry.max_attempts = 1;  // one shot: recomputing beats retrying
+  } else {
+    supervised.add();
+  }
+  phasespace::SupervisedShardedBuild sup = phasespace::supervised_sharded(
+      a, std::move(sweep_order), build_options, opts);
+  out.degraded = sup.report.degraded;
+  resume_saved.add(sup.build.stats.manifests);
+  if (!sup.report.ok()) {
+    out.status = QueryOutcome::Status::kFailed;
+    out.error_code = sup.report.last_error;
+    out.error = sup.report.last_error_what;
+    failed.add();
+    return out;
+  }
+  phasespace::ShardedBuild build = std::move(sup.build);
+
+  out.resumed = build.stats.resumed_states != 0;
+  if (out.resumed) {
+    resume_resumed.add();
+    obs::log_event(obs::LogLevel::kInfo, "service.resume",
+                   {{"key", query.canonical_key()},
+                    {"resumed_states", build.stats.resumed_states},
+                    {"total", out.states_total}});
+  }
+  if (!build.complete()) {
+    // Only whole shards named by the manifest survive a truncation;
+    // they are exactly what the next identical request skips.
+    out.status = QueryOutcome::Status::kTruncated;
+    out.stop_reason = build.build.status.stop_reason;
+    if (resumable) out.states_done = build.stats.stored_states;
+    out.resumable = out.states_done != 0;
+    truncated.add();
+    return out;
+  }
+
+  out.states_done = out.states_total;
+  // Deriving results off the disk store's mmap costs about twice the RAM
+  // backends: stream a resumable build into the configured store first.
+  std::optional<phasespace::FunctionalGraph> fg = std::move(build.build.graph);
+  if (resumable && store_kind != phasespace::StoreKind::kDisk) {
+    fg.emplace(phasespace::FunctionalGraph::from_store(
+        copy_store(*build.store, store_kind)));
+  }
+  build.store.reset();
   out.result = result_from_graph(query, *fg);
   out.status = QueryOutcome::Status::kOk;
 
-  // The spilled table is scratch space for result derivation, not a
-  // cache (the RESULT cache lives in front of the engine); reclaim it.
-  if (store_kind == phasespace::StoreKind::kDisk) {
+  // The spilled extents are resume state and scratch space, not a cache
+  // (the RESULT cache lives in front of the engine); reclaim them.
+  if (build_options.store == phasespace::StoreKind::kDisk) {
     fg.reset();  // unmap before unlinking
     std::error_code ec;
-    fs::remove_all(fs::path(options_.ckpt_dir) / "store" / query.digest(), ec);
-  }
-
-  // A completed build's resume checkpoints are dead weight (the RESULT is
-  // now in the cache); drop them. Quarantined files are left alone.
-  if (store) {
-    for (const std::string& path : store->generations()) {
-      std::error_code ec;
-      fs::remove(path, ec);
-    }
+    fs::remove_all(build_options.disk_dir, ec);
   }
   return out;
 }

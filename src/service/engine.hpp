@@ -1,33 +1,36 @@
 #pragma once
 // The tcad compute core (docs/service.md).
 //
-// Executes one validated ServiceQuery and returns a typed outcome. Three
-// execution paths, picked per query:
+// Executes one validated ServiceQuery and returns a typed outcome. Every
+// explicit build, synchronous or sweep, runs on the sharded builder
+// (phasespace/sharded_build.hpp). Three execution paths, picked per
+// query:
 //
 //  * TRANSFER MATRIX — synchronous-ring preimage counts go through
 //    phasespace::RingPreimageSolver: O(n) matrix products, no state
 //    enumeration, answered inline (no admission slot needed).
-//  * SMALL-N DIRECT — explicit builds with n <= small_n_bits run the
-//    bit-sliced/SIMD batch engine in one unsupervised shot: the build is
-//    cheap enough that retry/checkpoint machinery would cost more than
+//  * SMALL-N DIRECT — explicit builds with n <= small_n_bits get one
+//    attempt, no retry, straight into the configured store: the build is
+//    cheap enough that retry/resume machinery would cost more than
 //    recomputing.
-//  * LARGE-N SUPERVISED — everything else runs under runtime::Supervisor
-//    (retry + engine-degradation ladder) with a per-request RunBudget and
-//    CancelToken, in checkpointed segments: every ckpt_every_states
-//    states the successor-table prefix is saved through a
-//    runtime::CheckpointStore keyed by the query digest, so a budget-
-//    truncated or killed build RESUMES from its last checkpoint on the
-//    next identical request instead of restarting. (The synchronous GoE
-//    census goes through phasespace::supervised_goe_census; its
-//    reached-states bitmap is not checkpointed — a retry restarts the
-//    scan. Graph-building queries are the resumable ones.)
+//  * LARGE-N SUPERVISED — everything else gets retries and the engine-
+//    degradation ladder. Both run under phasespace::supervised_sharded
+//    with a per-request RunBudget and CancelToken. With a ckpt_dir the
+//    build is RESUMABLE: it spills one digested kDisk extent per shard
+//    under ckpt_dir/store/<digest>, publishing a manifest every
+//    ckpt_every_states states, and the next identical request rebuilds
+//    only the shards no valid extent covers (docs/service.md). A
+//    completed resumable build is streamed into the configured store,
+//    then its directory is removed. (The synchronous GoE census persists
+//    nothing: a retry restarts its scan.)
 //
 // Admission control: at most max_concurrent_builds explicit builds run
 // at once; excess requests queue on a condition variable (FIFO-ish) and
 // their wait is recorded in the service.admission.wait_us histogram.
 //
 // Counters: service.engine.{builds,small_n,supervised,truncated,failed},
-// service.resume.{saved,resumed}.
+// service.resume.saved (resume manifests published) and
+// service.resume.resumed (requests that reused extents).
 
 #include <cstdint>
 #include <string>
@@ -41,10 +44,11 @@
 namespace tca::service {
 
 struct EngineOptions {
-  /// Directory for resume checkpoints; empty disables resumability.
+  /// Directory for resumable builds' disk extents; empty disables
+  /// resumability.
   std::string ckpt_dir;
-  /// Save a resume checkpoint every this many newly built states (large-n
-  /// supervised builds only).
+  /// Publish a resume manifest every this many newly built states
+  /// (large-n supervised builds only).
   std::uint64_t ckpt_every_states = 1u << 18;
   /// Builds with n <= this many bits take the unsupervised direct path.
   std::uint32_t small_n_bits = 16;
@@ -55,7 +59,7 @@ struct EngineOptions {
   runtime::SupervisorOptions supervisor;
   /// Successor-storage backend completed explicit graphs are held in
   /// while results are derived (docs/service.md "storage backends"):
-  /// kFlat keeps the raw 8-byte table, kPacked re-encodes to n bits per
+  /// kFlat keeps the raw 8-byte table, kPacked stores n bits per
   /// successor (~8x smaller resident set per admitted build at n=26),
   /// kDisk spills the table under ckpt_dir and streams results back with
   /// bounded RAM. All backends produce bit-identical results (pinned by
@@ -68,7 +72,10 @@ struct RequestBudget {
   std::uint64_t max_states = runtime::RunBudget::kUnlimited;
   std::uint64_t wall_ms = 0;  ///< 0 = no wall limit
 
-  [[nodiscard]] runtime::RunBudget to_run_budget() const;
+  /// `options` with this budget as the attempt budget and deadline, and
+  /// `token` as the cancellation token.
+  [[nodiscard]] runtime::SupervisorOptions supervise(
+      runtime::SupervisorOptions options, runtime::CancelToken token) const;
 };
 
 /// How one execution ended.
@@ -78,9 +85,12 @@ struct QueryOutcome {
   Status status = Status::kFailed;
   QueryResult result;  ///< valid iff status == kOk
   runtime::StopReason stop_reason = runtime::StopReason::kNone;
+  /// Truncated: states persisted in whole shards, which the next
+  /// identical request skips (0 when nothing was persisted).
   std::uint64_t states_done = 0;
   std::uint64_t states_total = 0;
-  bool resumed = false;   ///< a resume checkpoint seeded this build
+  bool resumable = false;  ///< truncated with states_done persisted
+  bool resumed = false;    ///< persisted extents seeded this build
   bool degraded = false;  ///< the supervisor walked the engine ladder
   ErrorCode error_code = ErrorCode::kUnknown;
   std::string error;

@@ -59,7 +59,7 @@ std::string truncated_response(std::uint64_t id, const QueryOutcome& outcome) {
   w.kv("stop_reason", runtime::stop_reason_name(outcome.stop_reason));
   w.kv("states_done", outcome.states_done);
   w.kv("states_total", outcome.states_total);
-  w.kv("resumable", outcome.states_done > 0);
+  w.kv("resumable", outcome.resumable);
   w.end_object();
   return std::move(w).str();
 }
@@ -161,18 +161,17 @@ std::string RequestHandler::handle_query(const JsonValue& request,
   const ServiceQuery query = ServiceQuery::from_json(*query_obj);
   const RequestBudget budget = parse_budget(request);
 
-  // 1. Cache.
-  if (std::optional<CacheHit> hit = cache_.lookup(query)) {
+  const auto cached = [&](const CacheHit& hit) {
     ok_count.add();
-    return query_response(id,
-                          hit->tier == CacheTier::kMemory ? "memory-cache"
-                                                          : "disk-cache",
-                          hit->result_json);
-  }
+    return query_response(
+        id, hit.tier == CacheTier::kMemory ? "memory-cache" : "disk-cache",
+        hit.result_json);
+  };
 
-  // 2. Coalesce. Followers reuse the leader's full response body (their
-  // id is substituted by re-rendering; simpler: followers get the shared
-  // result JSON with their own envelope).
+  // 1. Cache.
+  if (std::optional<CacheHit> hit = cache_.lookup(query)) return cached(*hit);
+
+  // 2. Coalesce: followers get the leader's result JSON in their envelope.
   const std::string key = query.canonical_key();
   if (std::shared_ptr<const CoalescedResult> shared =
           coalescer_.join_or_lead(key)) {
@@ -188,8 +187,16 @@ std::string RequestHandler::handle_query(const JsonValue& request,
   // 3. Leader: compute, publish, cache. The guard guarantees followers
   // are released even if the engine throws something unexpected.
   LeaderGuard guard(coalescer_, key);
-  const QueryOutcome outcome = engine_.execute(query, budget, std::move(token));
   CoalescedResult publish;
+  // A leader that finished between our lookup and join_or_lead has cached
+  // its result already: serve that rather than build the same space again.
+  if (std::optional<CacheHit> hit = cache_.lookup(query)) {
+    publish.ok = true;
+    publish.response_json = hit->result_json;
+    guard.publish(std::move(publish));
+    return cached(*hit);
+  }
+  const QueryOutcome outcome = engine_.execute(query, budget, std::move(token));
   if (outcome.ok()) {
     const std::string result_json = outcome.result.to_json();
     cache_.insert(query, result_json);

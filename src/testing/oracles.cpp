@@ -1,5 +1,7 @@
 #include "testing/oracles.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <random>
@@ -541,6 +543,24 @@ PropertyResult check_service_vs_library(const TestCase& tc) {
         "cached result is not byte-identical to the computed one");
   }
 
+  // The checkpointed path: with a ckpt_dir and small_n_bits = 0 every
+  // explicit build is supervised, spilled as digested disk extents and
+  // streamed back before results are derived. Same bytes required.
+  service::HandlerOptions checkpointed;
+  checkpointed.engine.ckpt_dir =
+      (std::filesystem::temp_directory_path() /
+       ("tca-service-oracle-" + std::to_string(::getpid()) + "-" +
+        std::to_string(tc.seed)))
+          .string();
+  checkpointed.engine.small_n_bits = 0;
+  const std::string third =
+      service::RequestHandler{checkpointed}.handle(request);
+  std::filesystem::remove_all(checkpointed.engine.ckpt_dir);
+  if (result_of(third) != result_of(first)) {
+    return PropertyResult::fail("checkpointed handler disagrees: " + third +
+                                " vs " + first);
+  }
+
   const service::JsonValue* result = v1.find("result");
   if (result == nullptr) return PropertyResult::fail("response lacks result");
   const auto expect = [&](const char* field,
@@ -677,8 +697,8 @@ PropertyResult check_store_backend_agree(const TestCase& tc) {
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() /
-      ("tca-store-oracle-" + std::to_string(tc.seed) + "-" +
-       std::to_string(tc.n));
+      ("tca-store-oracle-" + std::to_string(::getpid()) + "-" +
+       std::to_string(tc.seed) + "-" + std::to_string(tc.n));
   std::error_code ec;
   fs::remove_all(dir, ec);
   const PropertyResult r =

@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/error.hpp"
 #include "runtime/fault.hpp"
+#include "temp_dir.hpp"
 
 namespace tca::runtime {
 namespace {
@@ -28,16 +29,11 @@ namespace fs = std::filesystem;
 class CheckpointCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "tca_ckpt_corruption_test";
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    path_ = (dir_ / "state.ckpt").string();
+    path_ = (dir_.path() / "state.ckpt").string();
     Checkpoint ck;
     ck.payload = "sweep=demo\ndone=exp1|PASS|all good\n";
     save_checkpoint(path_, ck);
   }
-
-  void TearDown() override { fs::remove_all(dir_); }
 
   [[nodiscard]] std::string read_file() const {
     std::ifstream in(path_, std::ios::binary);
@@ -71,7 +67,7 @@ class CheckpointCorruptionTest : public ::testing::Test {
         << "try_load must map the failure to nullopt";
   }
 
-  fs::path dir_;
+  const tests::TempDir dir_{"ckpt_corruption"};
   std::string path_;
 };
 

@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/error.hpp"
 #include "runtime/fault.hpp"
+#include "temp_dir.hpp"
 
 namespace tca::runtime {
 namespace {
@@ -28,13 +29,8 @@ namespace fs = std::filesystem;
 class CkptStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "tca_ckpt_store_test";
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    head_ = (dir_ / "state.ckpt").string();
+    head_ = (dir_.path() / "state.ckpt").string();
   }
-
-  void TearDown() override { fs::remove_all(dir_); }
 
   [[nodiscard]] Checkpoint make(const std::string& payload) const {
     Checkpoint ck;
@@ -57,14 +53,14 @@ class CkptStoreTest : public ::testing::Test {
   /// whole picture, not just the store's own view.
   [[nodiscard]] std::vector<std::string> dir_listing() const {
     std::vector<std::string> names;
-    for (const auto& entry : fs::directory_iterator(dir_)) {
+    for (const auto& entry : fs::directory_iterator(dir_.path())) {
       names.push_back(entry.path().filename().string());
     }
     std::sort(names.begin(), names.end());
     return names;
   }
 
-  fs::path dir_;
+  const tests::TempDir dir_{"ckpt_store"};
   std::string head_;
 };
 

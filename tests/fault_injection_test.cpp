@@ -19,6 +19,7 @@
 #include "runtime/fault.hpp"
 #include "testing/generators.hpp"
 #include "testing/oracles.hpp"
+#include "temp_dir.hpp"
 
 namespace tca::runtime {
 namespace {
@@ -158,10 +159,8 @@ TEST(FaultInjection, SpawnFailureDegradedPoolStillBuildsCorrectTables) {
 }
 
 TEST(FaultInjection, AllocFaultLeavesNoCheckpointResidue) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string path = (dir / "tca_fault_ckpt_test.ckpt").string();
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
+  const tests::TempDir dir("fault_ckpt");
+  const std::string path = (dir.path() / "state.ckpt").string();
   {
     ScopedFaultPlan plan({.alloc_failure_at = 1});
     Checkpoint ck;
@@ -175,7 +174,6 @@ TEST(FaultInjection, AllocFaultLeavesNoCheckpointResidue) {
   ck.payload = "data";
   save_checkpoint(path, ck);
   EXPECT_EQ(load_checkpoint(path).payload, "data");
-  std::filesystem::remove(path);
 }
 
 TEST(FaultInjection, SubsumptionOracleSkipsOnInjectedTruncation) {

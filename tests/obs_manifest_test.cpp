@@ -13,6 +13,7 @@
 
 #include "obs/metrics.hpp"
 #include "runtime/error.hpp"
+#include "temp_dir.hpp"
 
 namespace tca::obs {
 namespace {
@@ -81,9 +82,8 @@ TEST(Manifest, ResultsDirHonorsEnvOverride) {
 }
 
 TEST(Manifest, WriteCreatesParentDirsAndIsParseableJson) {
-  const fs::path dir =
-      fs::temp_directory_path() / "tca_obs_manifest_test" / "nested";
-  fs::remove_all(dir.parent_path());
+  const tests::TempDir tmp("obs_manifest");
+  const fs::path dir = tmp.path() / "nested";
   const std::string path = (dir / "m.manifest.json").string();
   Counter& writes = counter("manifest.writes");
   const std::uint64_t before = writes.value();
@@ -97,17 +97,16 @@ TEST(Manifest, WriteCreatesParentDirsAndIsParseableJson) {
   EXPECT_EQ(content.back(), '\n');
   EXPECT_EQ(content[0], '{');
   EXPECT_FALSE(fs::exists(path + ".tmp")) << "tmp file must be renamed away";
-  fs::remove_all(dir.parent_path());
 }
 
 TEST(Manifest, TryWriteReportsFailureWithoutThrowing) {
   // A path whose "parent directory" is a regular file cannot be created.
-  const fs::path block = fs::temp_directory_path() / "tca_obs_manifest_block";
+  const tests::TempDir tmp("obs_manifest");
+  const fs::path block = tmp.path() / "block";
   { std::ofstream(block.string()) << "occupied"; }
   const std::string path = (block / "sub" / "m.manifest.json").string();
   EXPECT_FALSE(sample_manifest().try_write(path));
   EXPECT_THROW(sample_manifest().write(path), tca::RuntimeError);
-  fs::remove(block);
 }
 
 }  // namespace

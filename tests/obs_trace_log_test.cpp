@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/fault.hpp"
+#include "temp_dir.hpp"
 
 namespace tca::obs {
 namespace {
@@ -89,16 +90,14 @@ TEST(Trace, WriteChromeTraceProducesFile) {
     TCA_SPAN("exported_span");
   }
   stop_tracing();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tca_obs_trace_test.json")
-          .string();
+  const tests::TempDir tmp("obs_trace");
+  const std::string path = (tmp.path() / "trace.json").string();
   write_chrome_trace(path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("exported_span"), std::string::npos);
-  std::filesystem::remove(path);
   clear_trace();
 }
 

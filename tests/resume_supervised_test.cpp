@@ -30,6 +30,7 @@
 #include "core/automaton.hpp"
 #include "phasespace/preimage.hpp"
 #include "runtime/ckpt_store.hpp"
+#include "temp_dir.hpp"
 
 namespace {
 
@@ -148,9 +149,6 @@ pid_t spawn_child(const std::string& workdir, bool slow) {
 class ResumeSupervisedTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::temp_directory_path() / "tca_resume_supervised_test";
-    fs::remove_all(root_);
-    fs::create_directories(root_);
     // The fault-free reference summary, computed once per fixture setup.
     const fs::path base = make_workdir("baseline");
     ASSERT_EQ(wait_for_exit(spawn_child(base.string(), false)), 0);
@@ -158,15 +156,13 @@ class ResumeSupervisedTest : public ::testing::Test {
     ASSERT_FALSE(baseline_.empty());
   }
 
-  void TearDown() override { fs::remove_all(root_); }
-
   [[nodiscard]] fs::path make_workdir(const std::string& name) const {
-    const fs::path dir = root_ / name;
+    const fs::path dir = root_.path() / name;
     fs::create_directories(dir);
     return dir;
   }
 
-  fs::path root_;
+  const tca::tests::TempDir root_{"resume_supervised"};
   std::string baseline_;
 };
 

@@ -17,40 +17,21 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "obs/metrics.hpp"
+#include "phasespace/classify.hpp"
+#include "phasespace/functional_graph.hpp"
+#include "runtime/fault.hpp"
 #include "service/cache.hpp"
 #include "service/engine.hpp"
 #include "service/handler.hpp"
 #include "service/json_parse.hpp"
 #include "service/query.hpp"
+#include "temp_dir.hpp"
 
 namespace tca::service {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Per-test unique directory (pid + test name), removed on destruction.
-class TempDir {
- public:
-  TempDir() {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    path_ = fs::temp_directory_path() /
-            ("tca_service_" + std::to_string(::getpid()) + "_" +
-             info->test_suite_name() + "_" + info->name());
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 ServiceQuery query_from(const std::string& json) {
   return ServiceQuery::from_json(parse_json(json));
@@ -195,7 +176,7 @@ TEST(ResultCacheMemory, InsertRefreshesExistingEntry) {
 // ---------------------------------------------------------------------
 
 TEST(ResultCacheDisk, RoundTripThroughAFreshCache) {
-  const TempDir dir;
+  const tests::TempDir dir("service");
   const ServiceQuery q = attractor_query(6);
   {
     ResultCache writer({8, dir.str()});
@@ -214,7 +195,7 @@ TEST(ResultCacheDisk, RoundTripThroughAFreshCache) {
 }
 
 TEST(ResultCacheDisk, CorruptEntryIsQuarantinedNotServed) {
-  const TempDir dir;
+  const tests::TempDir dir("service");
   const ServiceQuery q = attractor_query(6);
   std::string path;
   {
@@ -243,7 +224,7 @@ TEST(ResultCacheDisk, CorruptEntryIsQuarantinedNotServed) {
 }
 
 TEST(ResultCacheDisk, EmbeddedKeyMismatchIsQuarantined) {
-  const TempDir dir;
+  const tests::TempDir dir("service");
   const ServiceQuery q6 = attractor_query(6);
   const ServiceQuery q7 = attractor_query(7);
   ResultCache cache({8, dir.str()});
@@ -260,7 +241,7 @@ TEST(ResultCacheDisk, EmbeddedKeyMismatchIsQuarantined) {
 // ---------------------------------------------------------------------
 
 TEST(Coalescing, ConcurrentIdenticalRequestsStartOneBuild) {
-  const TempDir dir;
+  const tests::TempDir dir("service");
   HandlerOptions options;
   options.cache.disk_dir = "";  // memory only: the engine must be the
                                 // only thing that can satisfy a miss
@@ -338,6 +319,186 @@ TEST(Handler, CachedAnswerIsBitIdenticalToComputedAnswer) {
   };
   EXPECT_EQ(result_of(first), result_of(second));
   EXPECT_NE(result_of(first), "");
+}
+
+// ---------------------------------------------------------------------
+// Resume: a truncated or failed build keeps its whole shards as digested
+// disk extents under ckpt_dir, and the next identical request skips them
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kShard = std::uint64_t{1} << 16;
+
+/// The attractor summary straight from the library (no engine, no store).
+std::string library_summary(const ServiceQuery& q) {
+  const core::Automaton a = q.automaton();
+  const phasespace::FunctionalGraph fg =
+      q.scheme == Scheme::kSweep
+          ? phasespace::FunctionalGraph::sweep(a, q.effective_order())
+          : phasespace::FunctionalGraph::synchronous(a);
+  const phasespace::Classification c = phasespace::classify(fg);
+  QueryResult r;
+  r.kind = q.kind;
+  r.num_states = fg.num_states();
+  r.num_attractors = c.attractors.size();
+  r.num_fixed_points = c.num_fixed_points;
+  r.num_cycle_states = c.num_cycle_states;
+  r.num_transient_states = c.num_transient_states;
+  r.num_gardens_of_eden = c.num_gardens_of_eden;
+  r.max_period = c.max_period();
+  r.max_transient = c.max_transient;
+  r.cycle_lengths.assign(c.cycle_length_histogram.begin(),
+                         c.cycle_length_histogram.end());
+  return r.to_json();
+}
+
+std::size_t files_under(const fs::path& dir) {
+  std::size_t files = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) ++files;
+  }
+  return files;
+}
+
+/// Truncates `q` after two of its four shards, then reruns it unbudgeted:
+/// the rerun must skip the persisted shards and answer like the library.
+void expect_truncate_then_resume(const ServiceQuery& q) {
+  ASSERT_EQ(q.n, 18u);  // four 2^16-state shards
+  const tests::TempDir dir("service");
+  EngineOptions options;
+  options.ckpt_dir = dir.str();
+  QueryEngine engine(options);
+
+  RequestBudget budget;
+  budget.max_states = 2 * kShard + 1000;  // admits exactly two shards
+  const QueryOutcome first = engine.execute(q, budget, {});
+  ASSERT_EQ(first.status, QueryOutcome::Status::kTruncated);
+  EXPECT_EQ(first.stop_reason, runtime::StopReason::kMaxStates);
+  EXPECT_TRUE(first.resumable);
+  EXPECT_EQ(first.states_done, 2 * kShard);
+  EXPECT_EQ(first.states_total, 4 * kShard);
+
+  obs::Counter& resumed_states =
+      obs::counter("phasespace.shard.resumed_states");
+  const std::uint64_t resumed_before = resumed_states.value();
+  const QueryOutcome second = engine.execute(q, RequestBudget{}, {});
+  ASSERT_TRUE(second.ok()) << second.error;
+  EXPECT_TRUE(second.resumed);
+  EXPECT_EQ(resumed_states.value() - resumed_before, 2 * kShard);
+  EXPECT_EQ(second.result.to_json(), library_summary(q));
+  EXPECT_EQ(files_under(dir.path()), 0u)
+      << "a completed build leaves no store or checkpoint files";
+}
+
+TEST(EngineResume, TruncatedSynchronousBuildResumesToTheLibraryAnswer) {
+  expect_truncate_then_resume(attractor_query(18));
+}
+
+TEST(EngineResume, TruncatedSweepBuildResumesToTheLibraryAnswer) {
+  std::string order;
+  for (int i = 17; i >= 0; --i) {
+    order += std::to_string(i) + (i != 0 ? "," : "");
+  }
+  expect_truncate_then_resume(query_from(
+      R"({"kind":"attractor-summary","n":18,"radius":1,"rule":"majority",)"
+      R"("topology":"ring","scheme":"sweep","order":[)" +
+      order + "]}"));
+}
+
+TEST(EngineResume, BuildKilledEveryAttemptResumesFromLastCadenceManifest) {
+  const tests::TempDir dir("service");
+  const ServiceQuery q = attractor_query(18);
+  EngineOptions options;
+  options.ckpt_dir = dir.str();
+  options.ckpt_every_states = kShard;  // a manifest after every shard
+  {
+    options.supervisor.retry.max_attempts = 1;
+    QueryEngine engine(options);
+    // The second manifest write fails, which kills the only attempt.
+    runtime::ScopedFaultPlan plan({.checkpoint_write_at = 2});
+    const QueryOutcome dead = engine.execute(q, RequestBudget{}, {});
+    ASSERT_EQ(dead.status, QueryOutcome::Status::kFailed);
+    EXPECT_FALSE(dead.resumable);
+  }
+  // The failed save may have rotated the head away; a generation remains.
+  std::size_t manifests = 0;
+  for (const auto& entry :
+       fs::directory_iterator(dir.path() / "store" / q.digest())) {
+    if (entry.path().filename().string().rfind("manifest.ckpt", 0) == 0) {
+      ++manifests;
+    }
+  }
+  EXPECT_GE(manifests, 1u);
+
+  options.supervisor = runtime::SupervisorOptions{};
+  QueryEngine fresh(options);
+  obs::Counter& resumed_states =
+      obs::counter("phasespace.shard.resumed_states");
+  const std::uint64_t resumed_before = resumed_states.value();
+  const QueryOutcome out = fresh.execute(q, RequestBudget{}, {});
+  ASSERT_TRUE(out.ok()) << out.error;
+  EXPECT_TRUE(out.resumed);
+  EXPECT_GE(resumed_states.value() - resumed_before, kShard);
+  EXPECT_EQ(out.result.to_json(), library_summary(q));
+  EXPECT_EQ(files_under(dir.path()), 0u);
+}
+
+// The store directory is named by the digest; a directory holding
+// another query's extents (a digest collision) is wiped, never resumed.
+TEST(EngineResume, ForeignExtentsUnderTheDigestAreNeverResumed) {
+  const tests::TempDir dir("service");
+  EngineOptions options;
+  options.ckpt_dir = dir.str();
+  QueryEngine engine(options);
+  const ServiceQuery other = query_from(
+      R"({"kind":"attractor-summary","n":18,"radius":1,"rule":"parity",)"
+      R"("topology":"ring"})");
+  RequestBudget budget;
+  budget.max_states = 2 * kShard;
+  ASSERT_EQ(engine.execute(other, budget, {}).status,
+            QueryOutcome::Status::kTruncated);
+
+  const ServiceQuery q = attractor_query(18);
+  const fs::path store = dir.path() / "store";
+  fs::rename(store / other.digest(), store / q.digest());
+  const QueryOutcome out = engine.execute(q, RequestBudget{}, {});
+  ASSERT_TRUE(out.ok()) << out.error;
+  EXPECT_FALSE(out.resumed);
+  EXPECT_EQ(out.result.to_json(), library_summary(q));
+}
+
+TEST(Handler, TruncatedResponseIsResumableOnlyWhenExtentsPersisted) {
+  const std::string request =
+      R"({"op":"query","id":3,"budget":{"max_states":140000},)"
+      R"("query":{"kind":"attractor-summary","n":18,"radius":1,)"
+      R"("rule":"majority","topology":"ring"}})";
+  {
+    // No --ckpt-dir: nothing is persisted, so nothing is resumable.
+    RequestHandler handler(HandlerOptions{});
+    const JsonValue v = parse_json(handler.handle(request));
+    EXPECT_EQ(v.string_or("status", ""), "truncated");
+    EXPECT_EQ(v.string_or("stop_reason", ""), "max-states");
+    EXPECT_EQ(v.u64_or("states_done", 1), 0u);
+    EXPECT_EQ(v.u64_or("states_total", 0), 4 * kShard);
+    EXPECT_FALSE(v.bool_or("resumable", true));
+  }
+  const tests::TempDir dir("service");
+  HandlerOptions options;
+  options.engine.ckpt_dir = dir.str();
+  RequestHandler handler(options);
+  const JsonValue v = parse_json(handler.handle(request));
+  EXPECT_EQ(v.string_or("status", ""), "truncated");
+  EXPECT_EQ(v.u64_or("states_done", 0), 2 * kShard);
+  ASSERT_NE(v.find("resumable"), nullptr);
+  EXPECT_TRUE(v.find("resumable")->as_bool());
+
+  // Small-n builds take the direct path, which never persists.
+  const JsonValue small = parse_json(handler.handle(
+      R"({"op":"query","id":4,"budget":{"max_states":100},)"
+      R"("query":{"kind":"attractor-summary","n":12,"radius":1,)"
+      R"("rule":"majority","topology":"ring"}})"));
+  EXPECT_EQ(small.string_or("status", ""), "truncated");
+  EXPECT_EQ(small.u64_or("states_done", 1), 0u);
+  EXPECT_FALSE(small.bool_or("resumable", true));
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,11 +16,10 @@
 #include "runtime/budget.hpp"
 #include "runtime/error.hpp"
 #include "runtime/fault.hpp"
+#include "temp_dir.hpp"
 
 namespace tca::phasespace {
 namespace {
-
-namespace fs = std::filesystem;
 
 core::Automaton majority_ring(std::size_t n) {
   return core::Automaton::line(n, 1, core::Boundary::kRing,
@@ -33,24 +31,6 @@ std::vector<StateCode> table_of(const SuccessorStore& store) {
   store.read_range(0, v.size(), v.data());
   return v;
 }
-
-class TempDir {
- public:
-  explicit TempDir(const char* tag)
-      : path_(fs::temp_directory_path() /
-              (std::string("tca-sharded-test-") + tag)) {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 TEST(NumaTopology, ProbeAlwaysYieldsAtLeastOneGroupWithCpus) {
   const NumaTopology topo = probe_numa_topology();
@@ -141,10 +121,46 @@ TEST(ShardedBuild, BudgetTruncationReportsCountsOnly) {
   EXPECT_LE(out.build.states_built, 1024u);
 }
 
+// A state budget is charged a whole shard at a time, so how many shards
+// a truncated build keeps depends on the budget, not on the worker count.
+TEST(ShardedBuild, StateBudgetAdmitsWholeShardsForAnyWorkerCount) {
+  const auto a = majority_ring(12);  // 8 shards of kPutAlign states
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    tests::TempDir dir("sharded_budget");
+    ShardedBuildOptions options;
+    options.store = StoreKind::kDisk;
+    options.disk_dir = dir.path().string();
+    options.shard_states = kPutAlign;
+    options.workers = workers;
+    runtime::RunBudget budget;
+    budget.max_states = 3 * kPutAlign + 100;
+    runtime::RunControl control(budget);
+    const ShardedBuild out = build_synchronous_sharded(a, options, control);
+    ASSERT_FALSE(out.complete());
+    EXPECT_EQ(out.stats.stored_states, 3 * kPutAlign);
+    EXPECT_EQ(out.stats.manifests, 1u);  // the truncated build's finalize
+  }
+}
+
+// More workers than shards are clamped away: a two-shard build runs two.
+TEST(ShardedBuild, WorkersAreClampedToTheShardCount) {
+  const auto a = majority_ring(10);
+  ShardedBuildOptions options;
+  options.store = StoreKind::kFlat;
+  options.shard_states = 512;
+  options.workers = 8;
+  runtime::RunControl control{runtime::RunBudget{}};
+  const ShardedBuild out = build_synchronous_sharded(a, options, control);
+  ASSERT_TRUE(out.complete());
+  EXPECT_EQ(out.stats.shards_total, 2u);
+  EXPECT_EQ(out.stats.workers, 2u);
+}
+
 // Disk truncation finalizes the manifest, and a resume build skips every
 // digest-valid shard already spilled — then ends bit-identical.
 TEST(ShardedBuild, DiskTruncationThenResumeIsBitIdentical) {
-  TempDir dir("resume");
+  tests::TempDir dir("sharded_resume");
   const auto a = majority_ring(11);
   const auto serial = FunctionalGraph::synchronous(a);
 
@@ -186,7 +202,7 @@ TEST(ShardedBuild, SupervisedAbsorbsInjectedTransient) {
   sup.apply_backoff = false;
   runtime::ScopedFaultPlan plan({.retry_transient_at = 1});
   const SupervisedShardedBuild out =
-      supervised_synchronous_sharded(a, options, sup);
+      supervised_sharded(a, {}, options, sup);
   ASSERT_EQ(out.report.state, runtime::SupervisedState::kCompleted);
   EXPECT_EQ(out.report.attempts, 2u);
   ASSERT_TRUE(out.build.complete());

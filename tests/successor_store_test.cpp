@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "runtime/error.hpp"
+#include "temp_dir.hpp"
 
 namespace tca::phasespace {
 namespace {
@@ -38,24 +39,6 @@ std::vector<StateCode> boundary_pattern(std::uint32_t bits,
   }
   return v;
 }
-
-class TempDir {
- public:
-  explicit TempDir(const char* tag)
-      : path_(fs::temp_directory_path() /
-              (std::string("tca-store-test-") + tag)) {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 // --- packed: n-bit boundary round-trips -------------------------------
 
@@ -164,7 +147,7 @@ TEST(FlatStore, WrapsExternallyBuiltTable) {
 // --- disk --------------------------------------------------------------
 
 TEST(DiskStore, SpillsAlignedExtentsAndReadsThemBack) {
-  TempDir dir("basic");
+  tests::TempDir dir("store_basic");
   constexpr std::uint32_t kBits = 13;
   constexpr std::size_t kEntries = 3 * kPutAlign + 100;  // ragged tail
   const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
@@ -186,7 +169,7 @@ TEST(DiskStore, SpillsAlignedExtentsAndReadsThemBack) {
 }
 
 TEST(DiskStore, RejectsUnalignedAndPostFinalizeWrites) {
-  TempDir dir("align");
+  tests::TempDir dir("store_align");
   DiskStore store(10, dir.path().string(), 2 * kPutAlign);
   std::vector<StateCode> v(kPutAlign, 0);
   // Misaligned first entry.
@@ -200,7 +183,7 @@ TEST(DiskStore, RejectsUnalignedAndPostFinalizeWrites) {
 }
 
 TEST(DiskStore, ResumeKeepsDigestValidExtentsOnly) {
-  TempDir dir("resume");
+  tests::TempDir dir("store_resume");
   constexpr std::uint32_t kBits = 11;
   constexpr std::size_t kEntries = 4 * kPutAlign;
   const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
@@ -248,8 +231,31 @@ TEST(DiskStore, ResumeKeepsDigestValidExtentsOnly) {
   EXPECT_EQ(got, want);
 }
 
+// With a publish cadence, put_range itself publishes manifests, so a
+// store dropped without finalize() (a killed build) still resumes every
+// extent the last manifest named.
+TEST(DiskStore, CadencePublishSurvivesAMissingFinalize) {
+  tests::TempDir dir("store_cadence");
+  constexpr std::uint32_t kBits = 10;
+  constexpr std::size_t kEntries = 4 * kPutAlign;
+  const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
+  {
+    DiskStore store(kBits, dir.path().string(), kEntries);
+    store.publish_every(2 * kPutAlign);
+    for (std::size_t at = 0; at < 3 * kPutAlign; at += kPutAlign) {
+      store.put_range(at, kPutAlign, want.data() + at);
+    }
+    EXPECT_EQ(store.publications(), 1u);  // after the second extent only
+  }
+  DiskStore reopened(kBits, dir.path().string(), kEntries);
+  const std::vector<DiskStore::Extent> kept = reopened.resume();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].first, 0u);
+  EXPECT_EQ(kept[1].first, kPutAlign);
+}
+
 TEST(DiskStore, ResumeSurvivesTruncatedDataFile) {
-  TempDir dir("truncated");
+  tests::TempDir dir("store_truncated");
   constexpr std::uint32_t kBits = 9;
   constexpr std::size_t kEntries = 2 * kPutAlign;
   const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
@@ -273,7 +279,7 @@ TEST(DiskStore, ResumeSurvivesTruncatedDataFile) {
 }
 
 TEST(DiskStore, ResumeOnEmptyDirectoryIsEmpty) {
-  TempDir dir("empty");
+  tests::TempDir dir("store_empty");
   DiskStore store(8, dir.path().string(), kPutAlign);
   EXPECT_TRUE(store.resume().empty());
   EXPECT_FALSE(store.complete());
@@ -296,7 +302,7 @@ TEST(MakeStore, EnforcesPerBackendCaps) {
 }
 
 TEST(MakeStore, BuildsEachBackend) {
-  TempDir dir("factory");
+  tests::TempDir dir("store_factory");
   const auto flat = make_store(StoreKind::kFlat, 4);
   EXPECT_EQ(flat->kind(), StoreKind::kFlat);
   EXPECT_EQ(flat->num_entries(), 16u);
