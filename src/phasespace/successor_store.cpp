@@ -211,17 +211,6 @@ PackedStore::PackedStore(std::uint32_t bits, StateCode entries)
   packed_bits.add(payload_bits);
 }
 
-StateCode PackedStore::get(StateCode s) const {
-  const std::uint64_t bit = s * bits_;
-  const auto w = static_cast<std::size_t>(bit >> 6);
-  const auto sh = static_cast<std::uint32_t>(bit & 63);
-  std::uint64_t v = words_[w] >> sh;
-  if (sh + bits_ > 64) {
-    v |= words_[w + 1] << (64 - sh);
-  }
-  return v & value_mask_;
-}
-
 TCA_HOT_PATH void PackedStore::put_range(StateCode first, std::size_t count,
                                          const StateCode* src) {
   check_put_range(first, count, entries_, "PackedStore");

@@ -181,7 +181,23 @@ class PackedStore final : public SuccessorStore {
   [[nodiscard]] StoreKind kind() const noexcept override {
     return StoreKind::kPacked;
   }
-  [[nodiscard]] StateCode get(StateCode s) const override;
+  /// Inline so callers holding a PackedStore (a final class) decode
+  /// without a virtual call.
+  [[nodiscard]] StateCode get(StateCode s) const override {
+    const std::uint64_t bit = s * bits_;
+    const auto w = static_cast<std::size_t>(bit >> 6);
+    const auto sh = static_cast<std::uint32_t>(bit & 63);
+    std::uint64_t v = words_[w] >> sh;
+    if (sh + bits_ > 64) {
+      v |= words_[w + 1] << (64 - sh);
+    }
+    return v & value_mask_;
+  }
+  /// Prefetches the word holding entry s (the queue-driven classify
+  /// passes issue these ahead of get).
+  void prefetch(StateCode s) const noexcept {
+    __builtin_prefetch(words_.get() + ((s * bits_) >> 6));
+  }
   void put_range(StateCode first, std::size_t count,
                  const StateCode* src) override;
   void read_range(StateCode first, std::size_t count,

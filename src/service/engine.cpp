@@ -340,7 +340,17 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
         copy_store(*build.store, store_kind)));
   }
   build.store.reset();
-  out.result = result_from_graph(query, *fg);
+  {
+    TCA_SPAN("derive");
+    static obs::Histogram& derive_us = obs::histogram(
+        "service.stage.derive_us", obs::default_latency_bounds_us());
+    const auto t0 = std::chrono::steady_clock::now();
+    out.result = result_from_graph(query, *fg);
+    derive_us.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+  }
   out.status = QueryOutcome::Status::kOk;
 
   // The spilled extents are resume state and scratch space, not a cache

@@ -125,6 +125,15 @@ std::string RequestHandler::handle(const std::string& request_json,
         w.kv(name, static_cast<std::int64_t>(value));
       }
       w.end_object();
+      // Stage timings (e.g. service.stage.derive_us): count and sum per
+      // histogram; the manifest written at shutdown has the buckets.
+      w.key("histograms").begin_object();
+      for (const auto& [name, h] : snap.histograms) {
+        w.key(name).begin_object();
+        w.kv("count", h.count).kv("sum", h.sum);
+        w.end_object();
+      }
+      w.end_object();
       w.end_object();
       response = std::move(w).str();
     } else if (op == "query") {

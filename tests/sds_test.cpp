@@ -76,6 +76,25 @@ TEST(GardensOfEden, MajoritySweepHasGoEStates) {
   }
 }
 
+TEST(GardensOfEden, MatchesZeroInDegrees) {
+  // The reached-states bitmap agrees with the u32 in-degree count: same
+  // total, same first `limit` examples in ascending order.
+  for (const std::size_t n : {3u, 5u, 8u, 10u}) {
+    const Sds sds(majority_ring(n), core::reversed_order(n));
+    const auto indeg = phasespace::in_degrees(sds.phase_space());
+    std::uint64_t zeros = 0;
+    std::vector<StateCode> first;
+    for (StateCode s = 0; s < indeg.size(); ++s) {
+      if (indeg[s] != 0) continue;
+      ++zeros;
+      if (first.size() < 4) first.push_back(s);
+    }
+    const auto goe = gardens_of_eden(sds, 4);
+    EXPECT_EQ(goe.count, zeros) << n;
+    EXPECT_EQ(goe.examples, first) << n;
+  }
+}
+
 TEST(GardensOfEden, InvertibleSystemHasNone) {
   const graph::Graph g(3, std::vector<graph::Edge>{});
   const auto a = Automaton::from_graph(g, rules::Rule{rules::KOfNRule{1}},

@@ -145,6 +145,23 @@ TEST(TcadE2e, PingAndCountersOps) {
   // Both requests so far are counted by the time the snapshot is taken.
   EXPECT_GE(table->u64_or("service.requests", 0), 2u);
 
+  // After a computed attractor summary, the same reply shows the time
+  // spent deriving the result and classifying inside it.
+  const JsonValue answer = parse_json(client.call(
+      R"({"op":"query","id":43,"query":{"kind":"attractor-summary","n":9,)"
+      R"("radius":1,"rule":"majority","topology":"ring"}})"));
+  ASSERT_EQ(answer.string_or("status", ""), "ok");
+  const JsonValue after =
+      parse_json(client.call(R"({"op":"counters","id":44})"));
+  const JsonValue* histograms = after.find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  for (const char* stage :
+       {"service.stage.derive_us", "phasespace.classify_us"}) {
+    const JsonValue* h = histograms->find(stage);
+    ASSERT_NE(h, nullptr) << stage;
+    EXPECT_GE(h->u64_or("count", 0), 1u) << stage;
+  }
+
   server.stop();
 }
 
