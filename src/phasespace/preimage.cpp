@@ -1,6 +1,7 @@
 #include "phasespace/preimage.hpp"
 
 #include <bit>
+#include <span>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -22,6 +23,23 @@ std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
   if (a == kSaturated || b == kSaturated) return kSaturated;
   if (a > kSaturated / b) return kSaturated;
   return a * b;
+}
+
+/// Sets the reached bit of each of the `n` targets in `block`.
+void mark_block(std::span<std::uint64_t> reached, const StateCode* block,
+                std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    reached[block[j] >> 6] |= std::uint64_t{1} << (block[j] & 63);
+  }
+}
+
+/// Number of set bits in a reached bitmap.
+std::uint64_t count_reached(std::span<const std::uint64_t> reached) {
+  std::uint64_t hit = 0;
+  for (const std::uint64_t w : reached) {
+    hit += static_cast<std::uint64_t>(std::popcount(w));
+  }
+  return hit;
 }
 
 /// W x W saturating-u64 matrix, row-major.
@@ -344,9 +362,7 @@ GoeCensus count_gardens_of_eden_explicit(const core::Automaton& a,
         std::min<std::uint64_t>(1024, count - s));
     if (control.note_states(chunk) != runtime::StopReason::kNone) break;
     stepper.step_range(s, chunk, block);
-    for (std::size_t j = 0; j < chunk; ++j) {
-      reached[block[j] >> 6] |= std::uint64_t{1} << (block[j] & 63);
-    }
+    mark_block(reached, block, chunk);
     s += chunk;
     out.scanned = s;
   }
@@ -354,15 +370,33 @@ GoeCensus count_gardens_of_eden_explicit(const core::Automaton& a,
   out.stop_reason = status.stop_reason;
   out.truncated = status.truncated() || out.scanned != count;
   if (!out.truncated) {
-    std::uint64_t hit = 0;
-    for (const std::uint64_t w : reached) hit += std::popcount(w);
-    out.gardens = count - hit;
+    out.gardens = count - count_reached(reached);
   }
   static obs::Counter& scanned = obs::counter("phasespace.goe.scanned");
   static obs::Counter& gardens = obs::counter("phasespace.goe.gardens");
   scanned.add(out.scanned);
   gardens.add(out.gardens);
   return out;
+}
+
+std::uint64_t mark_reached(const SuccessorStore& store,
+                           std::span<std::uint64_t> reached,
+                           runtime::RunControl& control) {
+  // Streamed read-back in bounded blocks: the table was already built, so
+  // this pass costs reads, not steps — the disk backend serves it with
+  // pread and never grows the resident set past bitmap + block.
+  const std::uint64_t count = store.num_entries();
+  StateCode block[4096];
+  std::uint64_t s = 0;
+  while (s < count) {
+    const auto chunk =
+        static_cast<std::size_t>(std::min<std::uint64_t>(4096, count - s));
+    if (control.note_states(chunk) != runtime::StopReason::kNone) break;
+    store.read_range(s, chunk, block);
+    mark_block(reached, block, chunk);
+    s += chunk;
+  }
+  return s;
 }
 
 GoeCensus count_gardens_of_eden(const SuccessorStore& store,
@@ -384,28 +418,12 @@ GoeCensus count_gardens_of_eden(const SuccessorStore& store,
   runtime::fault::check_alloc(words * sizeof(std::uint64_t));
   std::vector<std::uint64_t> reached(words, 0);
 
-  // Streamed read-back in bounded blocks: the table was already built, so
-  // this pass costs reads, not steps — the disk backend serves it with
-  // pread and never grows the resident set past bitmap + block.
-  StateCode block[4096];
-  for (std::uint64_t s = 0; s < count;) {
-    const auto chunk =
-        static_cast<std::size_t>(std::min<std::uint64_t>(4096, count - s));
-    if (control.note_states(chunk) != runtime::StopReason::kNone) break;
-    store.read_range(s, chunk, block);
-    for (std::size_t j = 0; j < chunk; ++j) {
-      reached[block[j] >> 6] |= std::uint64_t{1} << (block[j] & 63);
-    }
-    s += chunk;
-    out.scanned = s;
-  }
+  out.scanned = mark_reached(store, reached, control);
   const auto status = control.status();
   out.stop_reason = status.stop_reason;
   out.truncated = status.truncated() || out.scanned != count;
   if (!out.truncated) {
-    std::uint64_t hit = 0;
-    for (const std::uint64_t w : reached) hit += std::popcount(w);
-    out.gardens = count - hit;
+    out.gardens = count - count_reached(reached);
   }
   static obs::Counter& scanned = obs::counter("phasespace.goe.scanned");
   static obs::Counter& gardens = obs::counter("phasespace.goe.gardens");

@@ -18,6 +18,7 @@
 // `kSaturated` and `count()` reports saturation by returning it.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/automaton.hpp"
@@ -130,6 +131,17 @@ struct GoeCensus {
 /// Unbudgeted convenience: either completes or throws.
 [[nodiscard]] std::uint64_t count_gardens_of_eden_explicit(
     const core::Automaton& a);
+
+/// Reached-states bitmap of a built successor table, 1 bit/state: sets
+/// bit t (word t / 64) of `reached` for every successor t in `store`, so
+/// the Gardens of Eden are the bits left clear. `reached` holds at least
+/// ceil(num_entries / 64) words, zeroed by the caller. Streams the store
+/// in bounded blocks (any backend), charging `control` one state per
+/// source before each block; returns the number of sources scanned,
+/// num_entries unless `control` stopped the scan.
+[[nodiscard]] std::uint64_t mark_reached(const SuccessorStore& store,
+                                         std::span<std::uint64_t> reached,
+                                         runtime::RunControl& control);
 
 /// Store-generic census over an ALREADY-BUILT successor table: streams
 /// any SuccessorStore backend (flat / packed / disk) into a

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/automaton.hpp"
 #include "core/synchronous.hpp"
 #include "phasespace/classify.hpp"
@@ -40,7 +43,8 @@ TEST(Preimage, RejectsBadArguments) {
   EXPECT_THROW(RingPreimageSolver(rules::majority(), 4, Memory::kWith),
                std::invalid_argument);
   const RingPreimageSolver solver(rules::majority(), 1, Memory::kWith);
-  EXPECT_THROW(solver.count(Configuration(2)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(solver.count(Configuration(2))),
+               std::invalid_argument);
 }
 
 // Counts must equal the in-degrees of the explicit phase space, for every
@@ -224,7 +228,8 @@ TEST(FixedPointCount, LargeRingLucasLikeGrowth) {
 
 TEST(FixedPointCount, RingTooSmallThrows) {
   const RingPreimageSolver solver(rules::majority(), 2, Memory::kWith);
-  EXPECT_THROW(count_fixed_points_ring(solver, 4), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(count_fixed_points_ring(solver, 4)),
+               std::invalid_argument);
 }
 
 TEST(PeriodTwoCount, MatchesExplicitCensus) {
@@ -279,7 +284,7 @@ TEST(PeriodTwoCount, ExactlyTwoCycleStatesOnHugeRings) {
 
 TEST(PeriodTwoCount, RejectsRadiusThree) {
   const RingPreimageSolver solver(rules::majority(), 3, Memory::kWith);
-  EXPECT_THROW(count_period_two_states_ring(solver, 16),
+  EXPECT_THROW(static_cast<void>(count_period_two_states_ring(solver, 16)),
                std::invalid_argument);
 }
 
@@ -293,6 +298,27 @@ TEST(Preimage, SaturationReporting) {
   // At n = 32 the exact count 2^32 fits.
   Configuration zero32(32);
   EXPECT_EQ(solver.count(zero32), std::uint64_t{1} << 32);
+}
+
+TEST(ReachedBitmap, SetBitsAreTheStatesWithPreimages) {
+  // Majority ring, n = 13 (8192 states, several 4096-state blocks): bit s
+  // is set iff in_degree(s) > 0, and a state budget stops the scan at a
+  // block boundary.
+  const auto a = Automaton::line(13, 1, Boundary::kRing, rules::majority(),
+                                 Memory::kWith);
+  const auto fg = FunctionalGraph::synchronous(a);
+  const auto indeg = in_degrees(fg);
+  std::vector<std::uint64_t> reached((fg.num_states() + 63) / 64, 0);
+  runtime::RunControl unlimited;
+  EXPECT_EQ(mark_reached(fg.store(), reached, unlimited), fg.num_states());
+  for (StateCode s = 0; s < fg.num_states(); ++s) {
+    ASSERT_EQ((reached[s / 64] >> (s % 64)) & 1, indeg[s] > 0 ? 1u : 0u)
+        << s;
+  }
+
+  runtime::RunControl budget(runtime::RunBudget{.max_states = 4096});
+  std::fill(reached.begin(), reached.end(), 0);
+  EXPECT_EQ(mark_reached(fg.store(), reached, budget), 4096u);
 }
 
 }  // namespace
