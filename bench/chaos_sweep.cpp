@@ -14,8 +14,10 @@
 //     Supervisor's retry/degradation ladder;
 //   * mode C — a DISK-BACKED sharded build killed mid-spill (budget trip
 //     between extents), with one spilled byte deliberately corrupted
-//     before a resume=true rebuild: the digest revalidation must drop
-//     exactly the poisoned extent and the rebuild must end bit-identical.
+//     before a resume=true rebuild that writes through (a flat or packed
+//     RAM store plus the same extents): the digest revalidation must
+//     drop exactly the poisoned extent, and the RAM table must end
+//     bit-identical.
 //
 // THE invariant (ISSUE 7): every supervised run must end either
 // bit-identical to the fault-free baseline, as a well-formed truncated
@@ -178,13 +180,13 @@ struct ScenarioOutcome {
 /// Supervisor; a retried attempt resumes from the newest checksum-valid
 /// generation. Segment payload: "states=<k>\n" + raw table-prefix bytes.
 ScenarioOutcome run_segmented(const Scenario& s, const core::Automaton& a,
-                              const std::vector<phasespace::StateCode>& base,
+                              const phasespace::FlatTable& base,
                               const fs::path& workdir) {
   const std::uint64_t count = std::uint64_t{1} << s.cells;
   const std::uint64_t segment = count / 4;
   runtime::CheckpointStore store((workdir / "seg.ckpt").string(), {3});
 
-  std::vector<phasespace::StateCode> table(count, 0);
+  phasespace::FlatTable table(count, 0);
   std::uint64_t built = 0;       // states valid in `table` (final attempt)
   bool resumed = false;          // any attempt started from a checkpoint
 
@@ -262,9 +264,9 @@ ScenarioOutcome run_segmented(const Scenario& s, const core::Automaton& a,
 /// exceptions and spawn failures are the faults; a truncated parallel
 /// build is counts-only by contract.
 ScenarioOutcome run_parallel(const Scenario& s, const core::Automaton& a,
-                             const std::vector<phasespace::StateCode>& base) {
+                             const phasespace::FlatTable& base) {
   const std::uint64_t count = std::uint64_t{1} << s.cells;
-  std::vector<phasespace::StateCode> table;
+  phasespace::FlatTable table;
   std::uint64_t states_built = 0;
 
   runtime::Supervisor supervisor(supervisor_options(s));
@@ -305,11 +307,14 @@ ScenarioOutcome run_parallel(const Scenario& s, const core::Automaton& a,
 /// Mode C: a disk-backed sharded build is killed mid-spill (budget trip
 /// between extents — the store holds only whole digest-recorded shards),
 /// ONE byte of the spilled data is flipped, and a resume=true supervised
-/// rebuild runs fault-free. Invariants: the truncated pass is counts-only
-/// with a finalized manifest; resume drops the poisoned extent instead of
-/// trusting it; the rebuild is bit-identical to the baseline.
+/// rebuild writes through: a RAM store (flat or packed, by seed) filled
+/// from the revalidated extents and the missing shards, spilling the
+/// rebuilt ones beside them. Invariants: the truncated pass is
+/// counts-only with a finalized manifest; resume drops the poisoned
+/// extent instead of trusting it; the RAM table is bit-identical to the
+/// baseline.
 ScenarioOutcome run_disk_sharded(const Scenario& s, const core::Automaton& a,
-                                 const std::vector<phasespace::StateCode>& base,
+                                 const phasespace::FlatTable& base,
                                  const fs::path& workdir) {
   const std::uint64_t count = std::uint64_t{1} << s.cells;
   phasespace::ShardedBuildOptions options;
@@ -328,7 +333,7 @@ ScenarioOutcome run_disk_sharded(const Scenario& s, const core::Automaton& a,
     const phasespace::ShardedBuild first =
         phasespace::build_synchronous_sharded(a, options, control);
     if (first.complete()) {
-      std::vector<phasespace::StateCode> table(count);
+      phasespace::FlatTable table(count);
       first.store->read_range(0, count, table.data());
       if (table != base) {
         out.note = "mode C pass 1 completed but differs from baseline";
@@ -369,6 +374,8 @@ ScenarioOutcome run_disk_sharded(const Scenario& s, const core::Automaton& a,
   // here; a cancel makes THIS pass a well-formed truncation, which is a
   // legitimate leg, not a violation.
   options.resume = true;
+  options.store = s.seed % 2 == 0 ? phasespace::StoreKind::kFlat
+                                  : phasespace::StoreKind::kPacked;
   const phasespace::SupervisedShardedBuild second =
       phasespace::supervised_sharded(a, {}, options, supervisor_options(s));
   if (second.report.state == runtime::SupervisedState::kTruncated) {
@@ -386,10 +393,14 @@ ScenarioOutcome run_disk_sharded(const Scenario& s, const core::Automaton& a,
                second.report.last_error_what + ")";
     return out;
   }
-  std::vector<phasespace::StateCode> table(count);
+  if (second.build.store->kind() != options.store) {
+    out.note = "mode C resume pass did not build into its RAM store";
+    return out;
+  }
+  phasespace::FlatTable table(count);
   second.build.store->read_range(0, count, table.data());
   if (table != base) {
-    out.note = "mode C resumed table differs from fault-free baseline";
+    out.note = "mode C resumed RAM table differs from fault-free baseline";
     return out;
   }
   out.leg = truncated_pass || second.build.stats.resumed_states > 0

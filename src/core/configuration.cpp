@@ -77,14 +77,9 @@ void Configuration::mask_padding() noexcept {
 }
 
 std::uint64_t hash_value(const Configuration& c) noexcept {
-  // Word-wise FNV-1a variant over the shared basis/prime (core/fnv.hpp).
+  // The word-wise FNV-1a variant (core/fnv.hpp).
   std::uint64_t h = kFnvOffsetBasis64;
-  for (std::uint64_t w : c.words()) {
-    h ^= w;
-    h *= kFnvPrime64;
-    // Extra mixing: FNV over whole words is weak for sparse states.
-    h ^= h >> 29;
-  }
+  for (const std::uint64_t w : c.words()) h = fnv1a64_word(h, w);
   h ^= c.size();
   h *= kFnvPrime64;
   return h;

@@ -1,14 +1,14 @@
 #pragma once
 // The one FNV-1a 64 implementation (docs/service.md, docs/robustness.md).
 //
-// Three subsystems checksum or content-address byte strings with FNV-1a:
-// the checkpoint framing (runtime/checkpoint.cpp), the Configuration hash
-// (core/configuration.cpp, a word-wise variant with extra mixing), and the
-// service result cache's content-address digests (service/query.cpp).
-// They used to carry private copies of the same constants; this header is
-// now the single definition, so a transcription error cannot silently
-// fork the hash between the writer and the validator of a persisted
-// artifact.
+// Four users checksum or content-address data with FNV-1a: the checkpoint
+// framing (runtime/checkpoint.cpp) and the service result cache's
+// content-address digests (service/query.cpp) hash bytes; the
+// Configuration hash (core/configuration.cpp) and the DiskStore extent
+// digests (phasespace/successor_store.cpp) hash 64-bit words. They used
+// to carry private copies of the same constants; this header is now the
+// single definition, so a transcription error cannot silently fork the
+// hash between the writer and the validator of a persisted artifact.
 //
 // Header-only and dependency-free on purpose: runtime/ sits below core/
 // in the link order but shares its include root, so everything in src/
@@ -38,6 +38,18 @@ inline constexpr std::uint64_t kFnvPrime64 = 0x100000001b3ull;
     h = fnv1a64_byte(h, static_cast<std::uint8_t>(c));
   }
   return h;
+}
+
+/// One word-wise FNV-1a step: xor a whole 64-bit word in, multiply by the
+/// prime, then fold the high bits down (FNV over whole words is weak for
+/// sparse words). For a fixed word each of the three operations is a
+/// bijection of h, and for a fixed h the xor is a bijection of the word,
+/// so a sequence hashed with these steps changes its hash whenever any
+/// single word changes. The DiskStore extent digest relies on that.
+[[nodiscard]] constexpr std::uint64_t fnv1a64_word(std::uint64_t h,
+                                                   std::uint64_t w) noexcept {
+  h = (h ^ w) * kFnvPrime64;
+  return h ^ (h >> 29);
 }
 
 }  // namespace tca::core

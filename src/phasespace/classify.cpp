@@ -1,7 +1,5 @@
 #include "phasespace/classify.hpp"
 
-#include <sys/mman.h>
-
 // Classification in peel order (docs/performance.md "Classification").
 // Every pass takes its addresses from a sequential array — the store, the
 // in-degree array or the peel queue — never from the previous load, so
@@ -10,16 +8,19 @@
 //   1. in-degree count, one streamed pass over the store;
 //   2. Kahn peel: seed a queue with every Garden of Eden, pop in order,
 //      push a successor when its last predecessor is popped. Survivors
-//      (count > 0) are exactly the cycle states;
+//      (count > 0) are exactly the cycle states. The FIFO pops layer by
+//      layer, a state's layer being its longest path from a Garden of
+//      Eden, so the number of layers is the longest transient
+//      (max_transient) and the peel counts them;
 //   3. walk only the survivors, in ascending state order, so each cycle
 //      is met first at its smallest state and attractor ids come out
-//      sorted by representative;
+//      sorted by representative; a basin starts as its cycle;
 //   4. sweep the queue backwards, so every successor is labelled before
-//      its predecessor: depth = depth[succ] + 1, attractor =
-//      attractor[succ].
+//      its predecessor: attractor = attractor[succ], and that basin
+//      grows by one.
 //
 // The in-degree counts live in the `attractor` output until pass 3
-// overwrites them, so the side arrays are the peel queue and the depths.
+// overwrites them, so the one side array is the peel queue.
 // Every pass is serial: on a 4-vCPU host, splitting the count by target
 // range or by radix bucket measured slower than one pass, and threading
 // the leaf scan and the relabel measured no faster than one worker.
@@ -38,25 +39,6 @@ namespace {
 
 /// How many queue entries ahead the peel and the relabel prefetch.
 constexpr StateCode kPrefetch = 16;
-
-/// Asks for transparent huge pages on the 2 MiB-aligned interior of a
-/// fresh, still untouched allocation: first touch of 4 KiB pages is a
-/// visible share of a pass over 2^24 states, and 2 MiB pages fault 512
-/// times less often. Advisory only; a no-op where THP is off.
-void advise_huge_pages(const void* data, std::size_t bytes) {
-#ifdef MADV_HUGEPAGE
-  constexpr std::uintptr_t kHuge = std::uintptr_t{1} << 21;
-  const auto at = reinterpret_cast<std::uintptr_t>(data);
-  const std::uintptr_t begin = (at + kHuge - 1) & ~(kHuge - 1);
-  const std::uintptr_t end = (at + bytes) & ~(kHuge - 1);
-  if (begin < end) {
-    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_HUGEPAGE);
-  }
-#else
-  static_cast<void>(data);
-  static_cast<void>(bytes);
-#endif
-}
 
 /// `v` := `count` copies of `value`, its pages advised huge before the
 /// fill touches them.
@@ -79,7 +61,7 @@ std::unique_ptr<std::uint32_t[]> alloc_huge(StateCode count) {
 /// Adds every state's in-degree to cnt (zeroed by the caller), in one
 /// streamed pass over the store.
 void count_in_degrees(const SuccessorStore& store, std::uint32_t* cnt) {
-  if (const std::vector<StateCode>* flat = store.flat_table()) {
+  if (const FlatTable* flat = store.flat_table()) {
     for (const StateCode t : *flat) ++cnt[t];
     return;
   }
@@ -107,18 +89,28 @@ struct StoreSucc {
   void prefetch(StateCode) const {}
 };
 
+struct Peel {
+  StateCode transients = 0;  ///< final queue length
+  std::uint32_t layers = 0;  ///< 0 when there is no transient
+};
+
 /// Kahn peel from the `tail` Gardens of Eden already in q: pop in order,
-/// push a successor when its last predecessor is popped. Returns the
-/// final queue length (the number of transient states).
+/// push a successor when its last predecessor is popped. A layer ends
+/// where the queue ended when its first state was popped.
 template <class Succ>
-StateCode peel(const Succ& succ, std::uint32_t* cnt, std::uint32_t* q,
-               StateCode tail) {
-  for (StateCode head = 0; head < tail; ++head) {
+Peel peel(const Succ& succ, std::uint32_t* cnt, std::uint32_t* q,
+          StateCode tail) {
+  std::uint32_t layers = 0;
+  for (StateCode head = 0, layer_end = 0; head < tail; ++head) {
+    if (head == layer_end) {
+      ++layers;
+      layer_end = tail;
+    }
     if (head + kPrefetch < tail) succ.prefetch(q[head + kPrefetch]);
     const StateCode t = succ(q[head]);
     if (--cnt[t] == 0) q[tail++] = static_cast<std::uint32_t>(t);
   }
-  return tail;
+  return {tail, layers};
 }
 
 template <class Succ>
@@ -141,13 +133,13 @@ Classification classify_impl(const FunctionalGraph& fg, const Succ& succ) {
   out.num_gardens_of_eden = static_cast<StateCode>(slot - queue.get());
 
   // 2. The peel. What it leaves with a nonzero count lies on a cycle.
-  out.num_transient_states =
-      peel(succ, cnt, queue.get(), out.num_gardens_of_eden);
+  const Peel peeled = peel(succ, cnt, queue.get(), out.num_gardens_of_eden);
+  out.num_transient_states = peeled.transients;
+  out.max_transient = peeled.layers;
 
   // 3. Cycles, met at their representative. `kind` marks the labelled
   // ones: their count has become an attractor id, which may be nonzero.
   fill_huge(out.kind, count, StateKind::kTransient);
-  const std::unique_ptr<std::uint32_t[]> depth = alloc_huge(count);
   for (StateCode s = 0; s < count; ++s) {
     if (cnt[s] == 0 || out.kind[s] != StateKind::kTransient) continue;
     const auto id = static_cast<std::uint32_t>(out.attractors.size());
@@ -158,11 +150,10 @@ Classification classify_impl(const FunctionalGraph& fg, const Succ& succ) {
     do {
       out.kind[x] = kind;
       out.attractor[x] = id;
-      depth[x] = 0;
       ++period;
       x = succ(x);
     } while (x != s);
-    out.attractors.push_back(Attractor{period, s, 0});
+    out.attractors.push_back(Attractor{period, s, period});
     ++out.cycle_length_histogram[period];
     if (period == 1) {
       ++out.num_fixed_points;
@@ -175,20 +166,13 @@ Classification classify_impl(const FunctionalGraph& fg, const Succ& succ) {
   // is labelled before its predecessor.
   const std::uint32_t* const q = queue.get();
   std::uint32_t* const attractor = out.attractor.data();
-  std::uint32_t deepest = 0;
+  Attractor* const attractors = out.attractors.data();
   for (StateCode i = out.num_transient_states; i > 0; --i) {
     if (i > kPrefetch) succ.prefetch(q[i - 1 - kPrefetch]);
     const StateCode s = q[i - 1];
-    const StateCode t = succ(s);
-    const std::uint32_t d = depth[t] + 1;
-    depth[s] = d;
-    attractor[s] = attractor[t];
-    deepest = std::max(deepest, d);
-  }
-  out.max_transient = deepest;
-
-  for (const std::uint32_t id : out.attractor) {
-    ++out.attractors[id].basin_size;
+    const std::uint32_t id = attractor[succ(s)];
+    attractor[s] = id;
+    ++attractors[id].basin_size;
   }
   return out;
 }
@@ -209,7 +193,7 @@ Classification classify(const FunctionalGraph& fg) {
   const auto t0 = std::chrono::steady_clock::now();
   const SuccessorStore& store = fg.store();
   Classification out;
-  if (const std::vector<StateCode>* flat = store.flat_table()) {
+  if (const FlatTable* flat = store.flat_table()) {
     out = classify_impl(fg, FlatSucc{flat->data()});
   } else if (store.kind() == StoreKind::kPacked) {
     out = classify_impl(fg,

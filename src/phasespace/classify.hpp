@@ -58,8 +58,8 @@ struct Classification {
   }
 };
 
-/// Largest state width classify() accepts. Per-state ids, depths, counts
-/// and queue entries are u32, and at n = 32 they overflow: the identity
+/// Largest state width classify() accepts. Per-state ids, counts and
+/// queue entries are u32, and at n = 32 they overflow: the identity
 /// map has 2^32 attractors and a constant map an in-degree of 2^32. So
 /// classification stops one bit short of the disk backend's n = 32.
 inline constexpr std::uint32_t kMaxClassifyBits = 31;
@@ -68,9 +68,10 @@ inline constexpr std::uint32_t kMaxClassifyBits = 31;
 /// Works on every storage backend: the in-degree pass streams the store,
 /// and the peel and relabel passes read the successor (flat index, packed
 /// decode or disk mmap) of states taken in order from a queue. Memory:
-/// 13 B/state, of which 5 B/state are the `kind` and `attractor` outputs
-/// and 8 B/state a u32 peel queue and u32 depths, freed on return (the
-/// in-degree counts live in `attractor` until it is filled). Runs on the
+/// 9 B/state, of which 5 B/state are the `kind` and `attractor` outputs
+/// and 4 B/state a u32 peel queue, freed on return (the in-degree counts
+/// live in `attractor` until it is filled; max_transient is the number
+/// of peel layers, so no depth is stored). Runs on the
 /// calling thread. Throws tca::DomainTooLargeError above kMaxClassifyBits.
 [[nodiscard]] Classification classify(const FunctionalGraph& fg);
 

@@ -101,7 +101,7 @@ FunctionalGraph::FunctionalGraph(std::uint32_t bits, const CodeStepFn& step)
   tca::require_explicit_bits(bits, kMaxExplicitBits, "FunctionalGraph");
   const StateCode count = StateCode{1} << bits;
   runtime::fault::check_alloc(count * sizeof(StateCode));
-  std::vector<StateCode> succ(count);
+  FlatTable succ(count);
   for (StateCode s = 0; s < count; ++s) succ[s] = step(s);
   store_ = std::make_shared<FlatStore>(bits, std::move(succ));
   flat_ = store_->flat_table()->data();
@@ -109,7 +109,7 @@ FunctionalGraph::FunctionalGraph(std::uint32_t bits, const CodeStepFn& step)
 }
 
 FunctionalGraph FunctionalGraph::from_table(std::uint32_t bits,
-                                            std::vector<StateCode> succ) {
+                                            FlatTable succ) {
   tca::require_explicit_bits(bits, kMaxExplicitBits,
                              "FunctionalGraph::from_table");
   if (succ.size() != (StateCode{1} << bits)) {
@@ -144,14 +144,14 @@ FunctionalGraph FunctionalGraph::from_store(
   FunctionalGraph fg;
   fg.bits_ = bits;
   fg.store_ = std::move(store);
-  if (const std::vector<StateCode>* t = fg.store_->flat_table()) {
+  if (const FlatTable* t = fg.store_->flat_table()) {
     fg.flat_ = t->data();
   }
   return fg;
 }
 
-const std::vector<StateCode>& FunctionalGraph::successors() const {
-  const std::vector<StateCode>* t = store_->flat_table();
+const FlatTable& FunctionalGraph::successors() const {
+  const FlatTable* t = store_->flat_table();
   if (t == nullptr) {
     throw tca::StateError(
         std::string("FunctionalGraph::successors: the ") +
@@ -172,7 +172,7 @@ FunctionalGraph FunctionalGraph::synchronous(const core::Automaton& a) {
   runtime::fault::check_alloc(count * sizeof(StateCode));
   BatchCodeStepper stepper(a);
   note_batch_fallback(stepper, a, "FunctionalGraph::synchronous");
-  std::vector<StateCode> table(count);
+  FlatTable table(count);
   stepper.step_range(0, count, table.data());
   publish_build_tallies(count);
   return from_table(bits, std::move(table));
@@ -196,7 +196,7 @@ FunctionalGraph FunctionalGraph::sweep(const core::Automaton& a,
   runtime::fault::check_alloc(count * sizeof(StateCode));
   BatchCodeStepper stepper(a, std::move(order));
   note_batch_fallback(stepper, a, "FunctionalGraph::sweep");
-  std::vector<StateCode> table(count);
+  FlatTable table(count);
   stepper.step_range(0, count, table.data());
   publish_build_tallies(count);
   return from_table(bits, std::move(table));
@@ -236,7 +236,7 @@ FunctionalGraphBuild FunctionalGraph::build_synchronous_parallel(
   }
   runtime::fault::check_alloc(count * sizeof(StateCode));
 
-  std::vector<StateCode> table(count);
+  FlatTable table(count);
   StateCode* data = table.data();
   runtime::RunControl* ctl = &control;
   // The batch decision is made once per build; workers then carry their

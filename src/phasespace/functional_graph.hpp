@@ -58,8 +58,7 @@ class FunctionalGraph {
   FunctionalGraph(std::uint32_t bits, const CodeStepFn& step);
 
   /// Wraps an externally computed successor table (size must be 2^bits).
-  static FunctionalGraph from_table(std::uint32_t bits,
-                                    std::vector<StateCode> succ);
+  static FunctionalGraph from_table(std::uint32_t bits, FlatTable succ);
 
   /// Wraps a completed SuccessorStore of any backend (the sharded /
   /// succinct / disk build surface, phasespace/sharded_build.hpp). The
@@ -103,10 +102,10 @@ class FunctionalGraph {
   [[nodiscard]] const SuccessorStore& store() const noexcept {
     return *store_;
   }
-  /// The flat successor vector. Only the kFlat backend has one; throws
+  /// The flat successor table. Only the kFlat backend has one; throws
   /// tca::StateError otherwise — backend-generic consumers iterate via
   /// store().for_each_range() instead.
-  [[nodiscard]] const std::vector<StateCode>& successors() const;
+  [[nodiscard]] const FlatTable& successors() const;
 
  private:
   FunctionalGraph() = default;  // for the parallel builder
@@ -127,7 +126,7 @@ class FunctionalGraph {
 /// only). Always well-formed — budget exhaustion never throws.
 struct FunctionalGraphBuild {
   std::optional<FunctionalGraph> graph;
-  std::vector<StateCode> partial_succ;
+  FlatTable partial_succ;
   StateCode states_built = 0;
   runtime::RunStatus status;
 

@@ -149,7 +149,10 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   ShardPlan plan;
   plan.count = count;
   plan.shard_states = std::max<StateCode>(1, options.shard_states);
-  if (options.store == StoreKind::kDisk) {
+  // Extents: the kDisk store itself, or the spill of a write-through build.
+  const bool spills =
+      options.store == StoreKind::kDisk || !options.disk_dir.empty();
+  if (spills) {
     // Disk extents must own disjoint whole bytes (see DiskStore).
     plan.shard_states =
         (plan.shard_states + kPutAlign - 1) / kPutAlign * kPutAlign;
@@ -206,12 +209,19 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
 
   std::shared_ptr<SuccessorStore> store =
       make_store(options.store, bits, options.disk_dir);
-  DiskStore* const disk = options.store == StoreKind::kDisk
-                              ? static_cast<DiskStore*>(store.get())
-                              : nullptr;
+  // `disk` holds the extents; `spill` owns them when they are a second
+  // copy of a RAM store's shards (write-through).
+  DiskStore* disk = nullptr;
+  std::unique_ptr<DiskStore> spill;
+  if (options.store == StoreKind::kDisk) {
+    disk = static_cast<DiskStore*>(store.get());
+  } else if (spills) {
+    spill = std::make_unique<DiskStore>(bits, options.disk_dir);
+    disk = spill.get();
+  }
   if (disk != nullptr) disk->publish_every(options.publish_every_states);
 
-  // --- kDisk resume: skip shards whose extents revalidate ---------------
+  // --- resume: skip shards whose extents revalidate ---------------------
   // shard_done[s]: 0 = to build, kResumed = on disk already, kClaimed /
   // kStolen = put by a worker of its home / a foreign group. Each entry is
   // written by the one worker that claimed the shard and read after the
@@ -222,7 +232,10 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   std::vector<std::uint8_t> shard_done(
       static_cast<std::size_t>(plan.shards_total), 0);
   if (disk != nullptr && options.resume) {
-    for (const DiskStore::Extent& e : disk->resume()) {
+    // Write-through: the revalidated extents are decoded into the RAM
+    // store from the same read.
+    for (const DiskStore::Extent& e : disk->resume(
+             spill != nullptr ? store.get() : nullptr)) {
       // Only extents that exactly tile a shard are reusable (extent
       // granularity IS shard granularity for every sharded build with
       // the same shard_states).
@@ -253,10 +266,11 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
 
   runtime::RunControl* ctl = &control;
   SuccessorStore* store_raw = store.get();
+  DiskStore* spill_raw = spill.get();
   const ShardPlan* plan_ptr = &plan;
   std::uint8_t* done = shard_done.data();
 
-  const auto worker_body = [&, ctl, store_raw, plan_ptr,
+  const auto worker_body = [&, ctl, store_raw, spill_raw, plan_ptr,
                             done](unsigned worker_id) TCA_HOT_PATH {
     const std::uint32_t home = worker_id % num_groups;
     if (options.pin_threads && worker_id != 0) {
@@ -330,6 +344,9 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
         }
         if (!whole) break;
         store_raw->put_range(first, n_states, staging.data());
+        if (spill_raw != nullptr) {
+          spill_raw->put_range(first, n_states, staging.data());
+        }
         done[shard] = is_steal ? kStolen : kClaimed;
       }
     } catch (...) {
@@ -387,19 +404,20 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
 
   if (!complete) {
     // Shards complete out of order: counts only, like the pool builder.
-    // Disk builds still persist their manifest so resume picks up the
-    // finished shards.
+    // Spilling builds still persist their manifest so resume picks up
+    // the finished shards.
     out.build.states_built = out.build.status.states;
     if (disk != nullptr) {
-      store->finalize();
+      disk->finalize();
       out.stats.manifests = disk->publications();
-      out.store = std::move(store);  // partial, for resume/inspection
+      if (spill == nullptr) out.store = std::move(store);  // partial kDisk
     }
     publish_shard_tallies(out.stats, out.build.states_built);
     return out;
   }
 
   store->finalize();
+  if (spill != nullptr) spill->finalize();
   if (disk != nullptr) out.stats.manifests = disk->publications();
   out.build.states_built = count;
   out.store = store;
@@ -478,9 +496,9 @@ SupervisedShardedBuild supervised_sharded(
       [&](runtime::AttemptContext& ctx) {
         ShardedBuildOptions attempt = options;
         attempt.rung = ctx.rung;
-        // Retries of a disk build reuse every digest-valid shard the
+        // Retries of a spilling build reuse every digest-valid shard the
         // failed attempt already spilled.
-        if (!first_attempt && attempt.store == StoreKind::kDisk) {
+        if (!first_attempt && !attempt.disk_dir.empty()) {
           attempt.resume = true;
         }
         first_attempt = false;

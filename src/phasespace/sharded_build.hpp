@@ -22,7 +22,10 @@
 //    fallback buffers are per-thread state) into a thread-local staging
 //    buffer, then put_range()s the finished shard into the shared
 //    SuccessorStore — flat, packed (n-bit succinct), or disk (spilled
-//    extents with FNV digests), chosen per build.
+//    extents with FNV digests), chosen per build. A RAM build given a
+//    disk_dir WRITES THROUGH: each shard also goes to a DiskStore as
+//    the same digested extent, so the build is resumable while the
+//    graph still derives from RAM.
 //
 // The result is deterministic: shard -> range is a fixed function of
 // (bits, shard_states), every shard is computed by exactly one worker
@@ -36,9 +39,11 @@
 // floor(budget / shard_states) whole shards whatever the worker count;
 // cancellation and the deadline stop mid-shard (polled per 1024-block).
 // A tripped control stops claiming and the build reports counts only
-// (shards complete out of order: no contiguous prefix). On the DISK
-// backend a truncated build still finalizes its manifest, so a follow-up
-// build with resume=true skips every digest-valid shard already on disk.
+// (shards complete out of order: no contiguous prefix). A spilling build
+// (kDisk or write-through) that truncates still finalizes its manifest,
+// so a follow-up build with resume=true skips every digest-valid shard
+// already on disk; a write-through resume decodes those shards into the
+// RAM store from the same read that checks their digests.
 
 #include <cstdint>
 #include <memory>
@@ -88,12 +93,16 @@ struct ShardedBuildOptions {
   /// shards never share a packed word or disk byte; the final shard is
   /// the ragged remainder. Small values are for tests.
   StateCode shard_states = StateCode{1} << 16;
-  /// Directory for StoreKind::kDisk (required then, ignored otherwise).
+  /// Directory of the digested extents. Required for kDisk, where the
+  /// extents are the store. For kFlat / kPacked a non-empty directory
+  /// makes the build write through: every shard is put into the RAM
+  /// store and also spilled there, which makes the build resumable.
+  /// Either way shard_states is rounded up to kPutAlign.
   std::string disk_dir;
-  /// kDisk only: revalidate extents already on disk (digest check
+  /// With disk_dir: revalidate extents already on disk (digest check
   /// against the manifest) and skip rebuilding shards they cover.
   bool resume = false;
-  /// kDisk only: publish a resume manifest after every this many newly
+  /// With disk_dir: publish a resume manifest after every this many newly
   /// spilled states (DiskStore::publish_every); 0 = only when the build
   /// ends.
   StateCode publish_every_states = 0;
@@ -111,17 +120,17 @@ struct ShardStats {
   std::uint64_t shards_total = 0;
   std::uint64_t shards_claimed = 0;   ///< claimed from the worker's group
   std::uint64_t shards_stolen = 0;    ///< claimed from a foreign group
-  std::uint64_t resumed_states = 0;   ///< kDisk resume: states not rebuilt
+  std::uint64_t resumed_states = 0;   ///< resume: states not rebuilt
   std::uint64_t stored_states = 0;    ///< in whole shards: what resume skips
-  std::uint64_t manifests = 0;        ///< kDisk manifests published
+  std::uint64_t manifests = 0;        ///< resume manifests published
   std::uint32_t worker_groups = 0;
   std::uint32_t workers = 0;          ///< after clamping to the shards
 };
 
 /// Outcome of a sharded build: the usual FunctionalGraphBuild contract
 /// (graph engaged iff complete; truncation reports counts only) plus the
-/// store itself (engaged iff complete — the streaming-census surface)
-/// and the shard tallies.
+/// store itself (engaged iff complete — the streaming-census surface —
+/// or a truncated kDisk build's partial store) and the shard tallies.
 struct ShardedBuild {
   FunctionalGraphBuild build;
   std::shared_ptr<SuccessorStore> store;
@@ -147,8 +156,9 @@ struct ShardedBuild {
 /// pressure exactly like supervised_synchronous does for the serial
 /// builder. An empty `sweep_order` builds the synchronous phase space, a
 /// non-empty one the sweep of that order (sweep steppers run the
-/// dispatched tier at every rung). kDisk builds set resume=true on retry
-/// attempts so a failed attempt's completed shards are not recomputed.
+/// dispatched tier at every rung). Builds with a disk_dir set resume=true
+/// on retry attempts so a failed attempt's completed shards are not
+/// recomputed.
 struct SupervisedShardedBuild {
   ShardedBuild build;  ///< the last attempt that returned
   runtime::SupervisorReport report;

@@ -35,6 +35,14 @@ namespace {
 /// Max entries one for_each_range / read-back block decodes at a time.
 constexpr std::size_t kStreamBlock = 4096;
 
+[[nodiscard]] std::uint64_t micros_since(
+    std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 [[nodiscard]] std::uint64_t mask_for(std::uint32_t bits) {
   if (bits == 0 || bits > 63) {
     throw tca::InvalidArgumentError(
@@ -60,30 +68,52 @@ void check_put_range(StateCode first, std::size_t count, StateCode entries,
   }
 }
 
-/// Packs count n-bit values into a byte stream starting at bit offset 0
-/// (stream bit k lives in byte k>>3 at position k&7 — the little-endian
-/// word layout PackedStore uses, so the two backends share one format).
-void pack_entries(const StateCode* src, std::size_t count, std::uint32_t n,
-                  std::uint64_t mask, std::uint8_t* dst) {
+/// w in the stream's byte order (an involution: it also decodes).
+[[nodiscard]] inline std::uint64_t to_le64(std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+/// Packs count n-bit values into words from bit offset 0 (stream bit k is
+/// bit k&63 of little-endian word k>>6 — the layout PackedStore uses, so
+/// the two backends share one format). Returns the extent digest, taken
+/// as the words are emitted: one core::fnv1a64_word step per word, the
+/// last partial word zero-padded (extent_digest recomputes it).
+std::uint64_t pack_entries(const StateCode* src, std::size_t count,
+                           std::uint32_t n, std::uint64_t mask,
+                           std::uint64_t* dst) {
+  std::uint64_t h = core::kFnvOffsetBasis64;
   std::uint64_t acc = 0;
   std::uint32_t accbits = 0;
-  std::size_t out = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t v = src[i] & mask;
     acc |= v << accbits;
     accbits += n;
     if (accbits >= 64) {
-      for (int b = 0; b < 8; ++b) {
-        dst[out++] = static_cast<std::uint8_t>(acc >> (8 * b));
-      }
+      h = core::fnv1a64_word(h, acc);
+      *dst++ = to_le64(acc);
       accbits -= 64;
       acc = accbits != 0 ? v >> (n - accbits) : 0;
     }
   }
-  for (; accbits > 0; accbits -= std::min(accbits, 8u)) {
-    dst[out++] = static_cast<std::uint8_t>(acc);
-    acc >>= 8;
+  if (accbits > 0) {
+    h = core::fnv1a64_word(h, acc);
+    *dst = to_le64(acc);
   }
+  return h;
+}
+
+/// The digest pack_entries returned, recomputed from `count` stream words
+/// read back (the bytes past the extent zeroed).
+[[nodiscard]] std::uint64_t extent_digest(const std::uint64_t* words,
+                                          std::size_t count) {
+  std::uint64_t h = core::kFnvOffsetBasis64;
+  for (std::size_t i = 0; i < count; ++i) {
+    h = core::fnv1a64_word(h, to_le64(words[i]));
+  }
+  return h;
 }
 
 /// The little-endian 64-bit word at p (the stream's byte order on every
@@ -142,11 +172,26 @@ const char* store_kind_name(StoreKind kind) noexcept {
   return "flat";
 }
 
+void advise_huge_pages(const void* data, std::size_t bytes) noexcept {
+#ifdef MADV_HUGEPAGE
+  constexpr std::uintptr_t kHuge = std::uintptr_t{1} << 21;
+  const auto at = reinterpret_cast<std::uintptr_t>(data);
+  const std::uintptr_t begin = (at + kHuge - 1) & ~(kHuge - 1);
+  const std::uintptr_t end = (at + bytes) & ~(kHuge - 1);
+  if (begin < end) {
+    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_HUGEPAGE);
+  }
+#else
+  static_cast<void>(data);
+  static_cast<void>(bytes);
+#endif
+}
+
 void SuccessorStore::for_each_range(
     const std::function<void(StateCode, std::size_t, const StateCode*)>& fn)
     const {
   // The flat backend streams zero-copy; the others decode per block.
-  if (const std::vector<StateCode>* flat = flat_table()) {
+  if (const FlatTable* flat = flat_table()) {
     for (StateCode s = 0; s < entries_; s += kStreamBlock) {
       const auto count = static_cast<std::size_t>(
           std::min<StateCode>(kStreamBlock, entries_ - s));
@@ -169,10 +214,12 @@ void SuccessorStore::for_each_range(
 FlatStore::FlatStore(std::uint32_t bits)
     : SuccessorStore(bits, StateCode{1} << bits) {
   runtime::fault::check_alloc(entries_ * sizeof(StateCode));
+  table_.reserve(entries_);
+  advise_huge_pages(table_.data(), entries_ * sizeof(StateCode));
   table_.resize(entries_);
 }
 
-FlatStore::FlatStore(std::uint32_t bits, std::vector<StateCode> table)
+FlatStore::FlatStore(std::uint32_t bits, FlatTable table)
     : SuccessorStore(bits, StateCode{1} << bits), table_(std::move(table)) {
   if (table_.size() != entries_) {
     throw tca::InvalidArgumentError(
@@ -318,7 +365,10 @@ void pwrite_all(int fd, const std::uint8_t* buf, std::uint64_t count,
   return true;
 }
 
-constexpr const char* kManifestMagic = "tca-succ-store v1";
+/// v2: extent digests are word-wise (core::fnv1a64_word over the packed
+/// words). A v1 manifest (byte-wise FNV-1a) fails the header check and
+/// its extents are rebuilt, never trusted.
+constexpr const char* kManifestMagic = "tca-succ-store v2";
 
 }  // namespace
 
@@ -413,14 +463,18 @@ void DiskStore::put_range(StateCode first, std::size_t count,
                             tca::ErrorCode::kInvalidState);
     }
   }
+  static obs::Histogram& spill_us =
+      obs::histogram("store.spill_us", obs::default_latency_bounds_us());
+  const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t bytes = extent_byte_count(first, count, bits_);
-  std::vector<std::uint8_t> packed(static_cast<std::size_t>(bytes), 0);
-  pack_entries(src, count, bits_, value_mask_, packed.data());
-  pwrite_all(fd_, packed.data(), bytes, extent_byte_offset(first, bits_),
-             "extent pwrite");
-  const std::uint64_t digest = core::fnv1a64(std::string_view(
-      reinterpret_cast<const char*>(packed.data()),
-      static_cast<std::size_t>(bytes)));
+  // Every word is written by pack_entries: no up-front fill.
+  const std::unique_ptr<std::uint64_t[]> packed(
+      new std::uint64_t[static_cast<std::size_t>((bytes + 7) / 8)]);
+  const std::uint64_t digest =
+      pack_entries(src, count, bits_, value_mask_, packed.get());
+  pwrite_all(fd_, reinterpret_cast<const std::uint8_t*>(packed.get()), bytes,
+             extent_byte_offset(first, bits_), "extent pwrite");
+  spill_us.record(micros_since(t0));
   bool publish_due = false;
   {
     std::lock_guard<std::mutex> lock(ledger_->mu);
@@ -459,10 +513,7 @@ void DiskStore::read_range(StateCode first, std::size_t count,
   unpack_entries(buf.data(), count, bits_, value_mask_, dst,
                  static_cast<std::uint32_t>(first_bit & 7));
   static obs::Counter& readback_us = obs::counter("store.readback_us");
-  readback_us.add(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
+  readback_us.add(micros_since(t0));
 }
 
 void DiskStore::finalize() {
@@ -493,6 +544,9 @@ void DiskStore::write_manifest() {
   // extent in the snapshot was pwritten before it entered the ledger, so
   // the fsync below makes all of them durable before the manifest names
   // them.
+  static obs::Histogram& publish_us =
+      obs::histogram("store.publish_us", obs::default_latency_bounds_us());
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<Extent> extents;
   {
     std::lock_guard<std::mutex> lock(ledger_->mu);
@@ -521,9 +575,10 @@ void DiskStore::write_manifest() {
   ckpt.payload = std::move(payload);
   manifest.save(ckpt);
   ++ledger_->publications;
+  publish_us.record(micros_since(t0));
 }
 
-std::vector<DiskStore::Extent> DiskStore::resume() {
+std::vector<DiskStore::Extent> DiskStore::resume(SuccessorStore* into) {
   static obs::Counter& kept_ctr = obs::counter("store.resume.kept");
   static obs::Counter& dropped_ctr = obs::counter("store.resume.dropped");
   runtime::CheckpointStore manifest(
@@ -588,25 +643,34 @@ std::vector<DiskStore::Extent> DiskStore::resume() {
 
   // Revalidate every listed extent against the data file; a torn or
   // corrupted spill fails its digest and is dropped (the caller rebuilds
-  // that range).
+  // that range). A kept extent is decoded into `into` from the same read.
   std::vector<Extent> kept;
   std::uint64_t dropped = 0;
+  std::vector<std::uint64_t> words;
+  std::vector<StateCode> block(into != nullptr ? kStreamBlock : 0);
   for (const Extent& e : listed) {
     const std::uint64_t bytes = extent_byte_count(e.first, e.count, bits_);
-    std::vector<std::uint8_t> buf(static_cast<std::size_t>(bytes), 0);
-    if (!pread_all(fd_, buf.data(), bytes,
-                   extent_byte_offset(e.first, bits_))) {
-      ++dropped;
-      continue;
-    }
-    const std::uint64_t digest = core::fnv1a64(std::string_view(
-        reinterpret_cast<const char*>(buf.data()),
-        static_cast<std::size_t>(bytes)));
-    if (digest != e.digest) {
+    // Zeroed past the extent: the digest's padding, and the +8 bytes the
+    // unaligned decode window reads beyond the last entry.
+    words.assign(static_cast<std::size_t>(bytes / 8 + 2), 0);
+    auto* const raw = reinterpret_cast<std::uint8_t*>(words.data());
+    if (!pread_all(fd_, raw, bytes, extent_byte_offset(e.first, bits_)) ||
+        extent_digest(words.data(), static_cast<std::size_t>(
+                                        (bytes + 7) / 8)) != e.digest) {
       ++dropped;
       continue;
     }
     kept.push_back(e);
+    if (into == nullptr) continue;
+    const std::uint64_t bit0 = (e.first * bits_) & 7;
+    for (StateCode j = 0; j < e.count; j += kStreamBlock) {
+      const auto n = static_cast<std::size_t>(
+          std::min<StateCode>(kStreamBlock, e.count - j));
+      const std::uint64_t bit = bit0 + j * bits_;
+      unpack_entries(raw + bit / 8, n, bits_, value_mask_, block.data(),
+                     static_cast<std::uint32_t>(bit & 7));
+      into->put_range(e.first + j, n, block.data());
+    }
   }
   std::sort(kept.begin(), kept.end(),
             [](const Extent& a, const Extent& b) { return a.first < b.first; });

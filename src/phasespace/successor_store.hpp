@@ -12,11 +12,13 @@
 //   kPacked  succinct in-RAM array storing each successor in exactly n
 //            bits (a successor of an n-cell automaton IS an n-bit code),
 //            a 64/n compression that raises the in-RAM cap to n=29.
-//   kDisk    n-bit-packed extents spilled to a data file through the
-//            checkpoint framing's FNV-1a digests, with a CheckpointStore
-//            manifest for crash-safe resume; sequential read-back streams
-//            via pread in bounded RAM and random access lazily mmaps, so
-//            n=30-32 builds and the Garden-of-Eden census fit.
+//   kDisk    n-bit-packed extents spilled to a data file, each with a
+//            word-wise FNV-1a digest, under a CheckpointStore manifest
+//            for crash-safe resume; sequential reads stream via pread in
+//            bounded RAM and random access lazily mmaps, so n=30-32
+//            builds and the Garden-of-Eden census fit. A RAM build can
+//            also write through to one (sharded_build.hpp): the same
+//            extents make it resumable while it derives from RAM.
 //
 // Write protocol: builders produce disjoint [first, first + count) ranges
 // of 64-bit successor codes and put_range() them into the store.
@@ -36,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace tca::phasespace {
@@ -44,9 +47,33 @@ namespace tca::phasespace {
 /// storage layer is below functional_graph.hpp; re-exported there.
 using StateCode = std::uint64_t;
 
+/// Asks for transparent huge pages on the 2 MiB-aligned interior of a
+/// fresh, still untouched allocation: first touch of 4 KiB pages is a
+/// visible share of a pass over 2^22+ states, and 2 MiB pages fault 512
+/// times less often. Advisory only; a no-op where THP is off.
+void advise_huge_pages(const void* data, std::size_t bytes) noexcept;
+
+/// std::allocator whose value-less construct() default-initialises: a
+/// vector of trivially constructible values then sizes itself without
+/// writing them, so the pages of a large table are first touched by
+/// whoever fills it (the sharded builder's workers, in parallel) rather
+/// than by a serial zero fill.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// A flat successor table: entry s is the successor of state s. Sizing
+/// one (FlatTable(n), resize) leaves the new entries unwritten.
+using FlatTable = std::vector<StateCode, DefaultInitAllocator<StateCode>>;
+
 /// Which successor-storage backend a store (or a build request) uses.
 enum class StoreKind : std::uint8_t {
-  kFlat,    ///< std::vector<StateCode>, 64 bits/state
+  kFlat,    ///< FlatTable, 64 bits/state
   kPacked,  ///< succinct in-RAM array, n bits/state
   kDisk,    ///< n-bit-packed extents on disk, digest-verified
 };
@@ -113,9 +140,9 @@ class SuccessorStore {
   /// buffers). The disk backend reports its mmap window when mapped.
   [[nodiscard]] virtual std::uint64_t resident_bytes() const noexcept = 0;
 
-  /// The flat vector when this store is kFlat, nullptr otherwise (the
+  /// The flat table when this store is kFlat, nullptr otherwise (the
   /// zero-copy bridge for FunctionalGraph::successors()).
-  [[nodiscard]] virtual const std::vector<StateCode>* flat_table()
+  [[nodiscard]] virtual const FlatTable* flat_table()
       const noexcept {
     return nullptr;
   }
@@ -135,13 +162,16 @@ class SuccessorStore {
   StateCode entries_;
 };
 
-/// The original backend: one flat std::vector<StateCode>.
+/// The original backend: one FlatTable.
 class FlatStore final : public SuccessorStore {
  public:
-  /// Empty store of 2^bits entries (default-initialized to 0).
+  /// Store of 2^bits entries, deliberately NOT initialized (like
+  /// PackedStore): a complete build writes every entry, so the workers'
+  /// put_range calls are the table's first touch. Its pages are advised
+  /// huge.
   explicit FlatStore(std::uint32_t bits);
   /// Wraps an externally built table (size must be 2^bits).
-  FlatStore(std::uint32_t bits, std::vector<StateCode> table);
+  FlatStore(std::uint32_t bits, FlatTable table);
 
   [[nodiscard]] StoreKind kind() const noexcept override {
     return StoreKind::kFlat;
@@ -156,13 +186,12 @@ class FlatStore final : public SuccessorStore {
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept override {
     return table_.capacity() * sizeof(StateCode);
   }
-  [[nodiscard]] const std::vector<StateCode>* flat_table()
-      const noexcept override {
+  [[nodiscard]] const FlatTable* flat_table() const noexcept override {
     return &table_;
   }
 
  private:
-  std::vector<StateCode> table_;
+  FlatTable table_;
 };
 
 /// Succinct backend: entry s occupies bits [s*n, (s+1)*n) of a word
@@ -222,9 +251,12 @@ class PackedStore final : public SuccessorStore {
 ///   succ.dat        n-bit-packed entries at their natural bit offsets
 ///                   (entry s at bits [s*n, (s+1)*n)), written with
 ///                   pwrite per extent
-///   manifest.ckpt   CheckpointStore-rotated manifest listing every
-///                   spilled extent as "extent=<first>,<count>,<fnv64>"
-///                   over the extent's packed bytes
+///   manifest.ckpt   CheckpointStore-rotated manifest ("tca-succ-store
+///                   v2") listing every spilled extent as
+///                   "extent=<first>,<count>,<digest>": one
+///                   core::fnv1a64_word step per packed 64-bit word, the
+///                   last word zero-padded, so any single corrupted word
+///                   changes the digest
 ///
 /// put_range requires kPutAlign alignment (first % 512 == 0, and count %
 /// 512 == 0 unless the range ends at num_entries) so concurrent extents
@@ -236,7 +268,11 @@ class PackedStore final : public SuccessorStore {
 /// resume() (before any put_range) loads the newest valid manifest,
 /// re-reads every listed extent and KEEPS only those whose bytes still
 /// match their recorded digest — a torn or corrupted spill (SIGKILL
-/// mid-pwrite, bit rot) is dropped and simply rebuilt by the caller.
+/// mid-pwrite, bit rot) is dropped and simply rebuilt by the caller. A
+/// manifest of another version, width or size is rejected whole
+/// ("store.resume.rejected"). put_range times each spill (pack, digest
+/// and pwrite) into the "store.spill_us" histogram and each publication
+/// (fsync and manifest) into "store.publish_us".
 class DiskStore final : public SuccessorStore {
  public:
   /// Opens (creating if needed) the store directory. `entries` as in
@@ -271,14 +307,17 @@ class DiskStore final : public SuccessorStore {
   struct Extent {
     StateCode first = 0;
     StateCode count = 0;
-    std::uint64_t digest = 0;  ///< FNV-1a 64 of the packed bytes
+    std::uint64_t digest = 0;  ///< word-wise FNV-1a of the packed words
   };
 
   /// Recovers previously spilled extents (call before any put_range):
   /// loads the newest valid manifest and revalidates every extent
-  /// against the data file, dropping mismatches. Returns the surviving
-  /// extents, sorted by first (empty when nothing usable is on disk).
-  [[nodiscard]] std::vector<Extent> resume();
+  /// against the data file, dropping mismatches. With `into` set, every
+  /// surviving extent is also decoded into it (put_range) from the bytes
+  /// the digest check read, so a write-through build refills its RAM
+  /// store in the same pass. Returns the surviving extents, sorted by
+  /// first (empty when nothing usable is on disk).
+  [[nodiscard]] std::vector<Extent> resume(SuccessorStore* into = nullptr);
 
   /// True once recorded extents cover [0, num_entries) exactly.
   [[nodiscard]] bool complete() const;

@@ -96,7 +96,13 @@ void CheckpointStore::save(const Checkpoint& checkpoint) {
     const std::uint64_t next = gens.empty() ? 1 : gens.front().seq + 1;
     const std::string slot =
         head_ + std::string(kGenInfix) + std::to_string(next);
-    fs::rename(head_, slot, ec);
+    // Copy, not rename: the head keeps its name until save_checkpoint
+    // renames the new one over it, so a head exists at every instant. The
+    // copy lands in the slot by rename, so a slot is always whole and its
+    // own file (a hard link would share the head's bytes until then).
+    const std::string tmp = slot + ".tmp";
+    fs::copy_file(head_, tmp, fs::copy_options::overwrite_existing, ec);
+    if (!ec) fs::rename(tmp, slot, ec);
     if (ec) {
       throw CheckpointError(
           "checkpoint store '" + head_ + "': rotation to '" + slot +

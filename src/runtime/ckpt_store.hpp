@@ -8,8 +8,9 @@
 //                   that watch for a checkpoint file keep working)
 //   <path>.g<seq>   older generations, higher seq == newer
 //
-// save() rotates the current head to the next .g<seq> slot, writes the new
-// head atomically, then prunes healthy generations beyond keep_generations.
+// save() copies the current head into the next .g<seq> slot, renames the
+// new head over it atomically (so a head exists at every instant, even
+// across a kill), then prunes healthy generations beyond keep_generations.
 // load_latest() walks head-then-generations newest-first and returns the
 // first checksum-valid checkpoint; anything that fails validation is
 // QUARANTINED — renamed to <file>.quarantined[.n], never deleted — so a
@@ -40,10 +41,10 @@ class CheckpointStore {
   explicit CheckpointStore(std::string head_path,
                            CheckpointStoreOptions options = {});
 
-  /// Rotates the existing head (if any) into a generation slot, writes
-  /// `checkpoint` as the new head, prunes old healthy generations beyond
-  /// keep_generations. Throws CheckpointError(kIo) if the filesystem
-  /// refuses; the previous head survives (possibly already rotated).
+  /// Copies the existing head (if any) into a generation slot, atomically
+  /// replaces the head with `checkpoint`, prunes old healthy generations
+  /// beyond keep_generations. Throws CheckpointError(kIo) if the
+  /// filesystem refuses; the previous head then survives as the head.
   void save(const Checkpoint& checkpoint);
 
   /// A successful recovery: which file satisfied the checksum, whether it

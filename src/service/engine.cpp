@@ -39,20 +39,6 @@ void claim_store_dir(const fs::path& dir, const std::string& key) {
   std::ofstream(dir / "key", std::ios::binary) << key;
 }
 
-/// Streams a completed store into a fresh one of `kind` (sequential
-/// pread on disk), so results derive from RAM, not the disk store's mmap.
-std::shared_ptr<phasespace::SuccessorStore> copy_store(
-    const phasespace::SuccessorStore& from, phasespace::StoreKind kind) {
-  std::shared_ptr<phasespace::SuccessorStore> to =
-      phasespace::make_store(kind, from.bits());
-  from.for_each_range([&](phasespace::StateCode first, std::size_t count,
-                          const phasespace::StateCode* block) {
-    to->put_range(first, count, block);
-  });
-  to->finalize();
-  return to;
-}
-
 /// Derives the typed result from a completed explicit graph. Every path
 /// is storage-generic: random access goes through FunctionalGraph::succ
 /// and whole-table scans stream via SuccessorStore::for_each_range, so
@@ -256,7 +242,7 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
   static obs::Counter& resume_saved = obs::counter("service.resume.saved");
   static obs::Counter& resume_resumed = obs::counter("service.resume.resumed");
 
-  const AdmissionSlot slot(*this);
+  std::optional<AdmissionSlot> slot(std::in_place, *this);
   builds.add();
 
   const core::Automaton a = query.automaton();
@@ -272,14 +258,15 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
     store_kind = phasespace::StoreKind::kFlat;
   }
 
-  // A resumable build spills digested kDisk extents under
-  // ckpt_dir/store/<digest>, publishing a manifest every ckpt_every_states
+  // A resumable build writes through: each shard goes into the configured
+  // store and is spilled as a digested extent under
+  // ckpt_dir/store/<digest>, with a manifest every ckpt_every_states
   // states; the next identical request builds only the missing shards.
   const bool small = query.n <= options_.small_n_bits;
   const bool resumable = !small && !options_.ckpt_dir.empty();
   phasespace::ShardedBuildOptions build_options;
-  build_options.store = resumable ? phasespace::StoreKind::kDisk : store_kind;
-  if (build_options.store == phasespace::StoreKind::kDisk) {
+  build_options.store = store_kind;
+  if (resumable || store_kind == phasespace::StoreKind::kDisk) {
     build_options.disk_dir =
         (fs::path(options_.ckpt_dir) / "store" / query.digest()).string();
   }
@@ -332,13 +319,7 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
   }
 
   out.states_done = out.states_total;
-  // Deriving results off the disk store's mmap costs about twice the RAM
-  // backends: stream a resumable build into the configured store first.
   std::optional<phasespace::FunctionalGraph> fg = std::move(build.build.graph);
-  if (resumable && store_kind != phasespace::StoreKind::kDisk) {
-    fg.emplace(phasespace::FunctionalGraph::from_store(
-        copy_store(*build.store, store_kind)));
-  }
   build.store.reset();
   {
     TCA_SPAN("derive");
@@ -354,9 +335,11 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
   out.status = QueryOutcome::Status::kOk;
 
   // The spilled extents are resume state and scratch space, not a cache
-  // (the RESULT cache lives in front of the engine); reclaim them.
-  if (build_options.store == phasespace::StoreKind::kDisk) {
-    fg.reset();  // unmap before unlinking
+  // (the RESULT cache lives in front of the engine); reclaim them after
+  // handing the slot on, so the unlink delays no queued build.
+  fg.reset();  // release the table and unmap before unlinking
+  slot.reset();
+  if (!build_options.disk_dir.empty()) {
     std::error_code ec;
     fs::remove_all(build_options.disk_dir, ec);
   }

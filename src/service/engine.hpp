@@ -16,13 +16,14 @@
 //  * LARGE-N SUPERVISED — everything else gets retries and the engine-
 //    degradation ladder. Both run under phasespace::supervised_sharded
 //    with a per-request RunBudget and CancelToken. With a ckpt_dir the
-//    build is RESUMABLE: it spills one digested kDisk extent per shard
-//    under ckpt_dir/store/<digest>, publishing a manifest every
+//    build is RESUMABLE: it writes through, putting each shard into the
+//    configured store and spilling it as one digested extent under
+//    ckpt_dir/store/<digest>, publishing a manifest every
 //    ckpt_every_states states, and the next identical request rebuilds
-//    only the shards no valid extent covers (docs/service.md). A
-//    completed resumable build is streamed into the configured store,
-//    then its directory is removed. (The synchronous GoE census persists
-//    nothing: a retry restarts its scan.)
+//    only the shards no valid extent covers (docs/service.md). Results
+//    derive straight from the configured store; the admission slot is
+//    released before the extent directory is removed. (The synchronous
+//    GoE census persists nothing: a retry restarts its scan.)
 //
 // Admission control: at most max_concurrent_builds explicit builds run
 // at once; excess requests queue on a condition variable (FIFO-ish) and

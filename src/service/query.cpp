@@ -123,9 +123,9 @@ void ServiceQuery::validate() const {
   }
   if (needs_explicit_graph()) {
     // Validation caps at the FLAT ceiling even though builds are
-    // store-native: classify holds 13 B/state (a u32 queue, u32 depths
-    // and its 5 B/state of output) beside the store, about 6.5 GiB at
-    // packed n = 29, so the packed and disk caps stay out of reach.
+    // store-native: classify holds 9 B/state (a u32 queue and its
+    // 5 B/state of output) beside the store, about 4.5 GiB at packed
+    // n = 29, so the packed and disk caps stay out of reach.
     const std::string context = std::string("service: ") + query_kind_name(kind);
     require_explicit_bits(
         n, phasespace::max_explicit_bits(phasespace::StoreKind::kFlat),

@@ -841,7 +841,7 @@ PropertyResult check_classify_agree(const TestCase& tc) {
   maps.push_back({"synchronous", FunctionalGraph::synchronous(a)});
   maps.push_back({"sweep", FunctionalGraph::sweep(
                                a, core::random_permutation(a.size(), rng))});
-  std::vector<StateCode> identity(StateCode{1} << tc.n);
+  phasespace::FlatTable identity(StateCode{1} << tc.n);
   for (StateCode s = 0; s < identity.size(); ++s) identity[s] = s;
   maps.push_back({"identity", FunctionalGraph::from_table(
                                   tc.n, std::move(identity))});
@@ -878,7 +878,7 @@ PropertyResult check_classify_agree(const TestCase& tc) {
       return PropertyResult::fail(m.label + " ring is not a bijection");
     }
     // The same table through every backend.
-    const std::vector<StateCode>& table = m.fg.successors();
+    const phasespace::FlatTable& table = m.fg.successors();
     const std::uint32_t bits = m.fg.bits();
     fs::remove_all(dir, ec);
     std::vector<std::pair<std::string, FunctionalGraph>> inputs;

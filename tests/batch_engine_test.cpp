@@ -411,7 +411,7 @@ TEST(BatchIsaDispatch, ForcedTiersProduceIdenticalFunctionalGraphs) {
   const std::size_t n = 9;
   const auto a = Automaton::line(n, 1, Boundary::kRing, rules::majority(),
                                  Memory::kWith);
-  std::vector<StateCode> reference;
+  phasespace::FlatTable reference;
   {
     ScopedEnv pin("TCA_BATCH_ISA", "scalar");
     reference = phasespace::FunctionalGraph::synchronous(a).successors();

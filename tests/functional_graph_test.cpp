@@ -118,7 +118,7 @@ TEST(Classify, BasinSizesSumToStateCount) {
 FunctionalGraph from_map(std::uint32_t bits,
                          StateCode (*map)(StateCode, StateCode)) {
   const StateCode count = StateCode{1} << bits;
-  std::vector<StateCode> succ(count);
+  FlatTable succ(count);
   for (StateCode s = 0; s < count; ++s) succ[s] = map(s, count);
   return FunctionalGraph::from_table(bits, std::move(succ));
 }

@@ -359,13 +359,30 @@ std::size_t files_under(const fs::path& dir) {
   return files;
 }
 
+/// `q` answered by an engine without a ckpt_dir: a plain build into the
+/// `store` backend.
+std::string plain_answer(const ServiceQuery& q, phasespace::StoreKind store) {
+  EngineOptions options;
+  options.store = store;
+  QueryEngine engine(options);
+  const QueryOutcome out = engine.execute(q, RequestBudget{}, {});
+  EXPECT_TRUE(out.ok()) << out.error;
+  EXPECT_FALSE(out.resumed);
+  return out.result.to_json();
+}
+
 /// Truncates `q` after two of its four shards, then reruns it unbudgeted:
-/// the rerun must skip the persisted shards and answer like the library.
-void expect_truncate_then_resume(const ServiceQuery& q) {
+/// the rerun must skip the persisted shards, filling the `store` backend
+/// from the revalidated extents, and answer like the library and like a
+/// plain build.
+void expect_truncate_then_resume(
+    const ServiceQuery& q,
+    phasespace::StoreKind store = phasespace::StoreKind::kFlat) {
   ASSERT_EQ(q.n, 18u);  // four 2^16-state shards
   const tests::TempDir dir("service");
   EngineOptions options;
   options.ckpt_dir = dir.str();
+  options.store = store;
   QueryEngine engine(options);
 
   RequestBudget budget;
@@ -385,12 +402,40 @@ void expect_truncate_then_resume(const ServiceQuery& q) {
   EXPECT_TRUE(second.resumed);
   EXPECT_EQ(resumed_states.value() - resumed_before, 2 * kShard);
   EXPECT_EQ(second.result.to_json(), library_summary(q));
+  EXPECT_EQ(second.result.to_json(), plain_answer(q, store));
+  EXPECT_FALSE(fs::exists(dir.path() / "store" / q.digest()))
+      << "a completed build leaves no store directory";
   EXPECT_EQ(files_under(dir.path()), 0u)
       << "a completed build leaves no store or checkpoint files";
 }
 
 TEST(EngineResume, TruncatedSynchronousBuildResumesToTheLibraryAnswer) {
   expect_truncate_then_resume(attractor_query(18));
+}
+
+TEST(EngineResume, TruncatedPackedBuildResumesToTheLibraryAnswer) {
+  expect_truncate_then_resume(attractor_query(18),
+                              phasespace::StoreKind::kPacked);
+}
+
+// An untruncated resumable request spills and publishes as it builds,
+// then removes its store directory once the answer is derived.
+TEST(EngineResume, CompletedRequestLeavesNoStoreDirectory) {
+  const tests::TempDir dir("service");
+  const ServiceQuery q = attractor_query(18);
+  EngineOptions options;
+  options.ckpt_dir = dir.str();
+  options.ckpt_every_states = kShard;
+  QueryEngine engine(options);
+  obs::Counter& saved = obs::counter("service.resume.saved");
+  const std::uint64_t saved_before = saved.value();
+  const QueryOutcome out = engine.execute(q, RequestBudget{}, {});
+  ASSERT_TRUE(out.ok()) << out.error;
+  EXPECT_FALSE(out.resumed);
+  EXPECT_GE(saved.value() - saved_before, 1u) << "no manifest was published";
+  EXPECT_EQ(out.result.to_json(), library_summary(q));
+  EXPECT_FALSE(fs::exists(dir.path() / "store" / q.digest()));
+  EXPECT_EQ(files_under(dir.path()), 0u);
 }
 
 TEST(EngineResume, TruncatedSweepBuildResumesToTheLibraryAnswer) {
@@ -419,7 +464,7 @@ TEST(EngineResume, BuildKilledEveryAttemptResumesFromLastCadenceManifest) {
     ASSERT_EQ(dead.status, QueryOutcome::Status::kFailed);
     EXPECT_FALSE(dead.resumable);
   }
-  // The failed save may have rotated the head away; a generation remains.
+  // The failed save leaves the earlier manifest behind.
   std::size_t manifests = 0;
   for (const auto& entry :
        fs::directory_iterator(dir.path() / "store" / q.digest())) {

@@ -12,8 +12,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/fnv.hpp"
+#include "runtime/ckpt_store.hpp"
 #include "runtime/error.hpp"
 #include "temp_dir.hpp"
 
@@ -127,7 +132,7 @@ TEST(PackedStore, RejectsOutOfRangeWrites) {
 // --- flat --------------------------------------------------------------
 
 TEST(FlatStore, WrapsExternallyBuiltTable) {
-  std::vector<StateCode> table{3, 2, 1, 0};
+  FlatTable table{3, 2, 1, 0};
   FlatStore store(2, std::move(table));
   EXPECT_EQ(store.kind(), StoreKind::kFlat);
   EXPECT_EQ(store.num_entries(), 4u);
@@ -283,6 +288,132 @@ TEST(DiskStore, ResumeOnEmptyDirectoryIsEmpty) {
   DiskStore store(8, dir.path().string(), kPutAlign);
   EXPECT_TRUE(store.resume().empty());
   EXPECT_FALSE(store.complete());
+}
+
+/// Spills `want` as kPutAlign-entry extents (the last one ragged) and
+/// publishes them.
+void spill_all(DiskStore& store, const std::vector<StateCode>& want) {
+  for (std::size_t at = 0; at < want.size(); at += kPutAlign) {
+    const std::size_t n = std::min<std::size_t>(kPutAlign, want.size() - at);
+    store.put_range(at, n, want.data() + at);
+  }
+  store.finalize();
+}
+
+// A write-through build resumes by decoding the kept extents into its RAM
+// store from the bytes the digest check read; a dropped extent is left
+// for the caller to rebuild.
+TEST(DiskStore, ResumeDecodesKeptExtentsIntoARamStore) {
+  tests::TempDir dir("store_resume_into");
+  constexpr std::uint32_t kBits = 13;
+  constexpr std::size_t kEntries = 3 * kPutAlign + 100;  // ragged tail
+  const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
+  {
+    DiskStore store(kBits, dir.path().string(), kEntries);
+    spill_all(store, want);
+  }
+  {  // poison the second extent
+    std::fstream f(dir.path() / "succ.dat",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(kPutAlign * kBits / 8 + 3);
+    f.seekg(at);
+    const char c = static_cast<char>(f.get());
+    f.seekp(at);
+    f.put(static_cast<char>(c ^ 0x10));
+  }
+  PackedStore packed(kBits, kEntries);
+  const std::vector<StateCode> sentinel(kPutAlign, 7);
+  packed.put_range(kPutAlign, kPutAlign, sentinel.data());
+  DiskStore reopened(kBits, dir.path().string(), kEntries);
+  const std::vector<DiskStore::Extent> kept = reopened.resume(&packed);
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept[1].first, 2 * kPutAlign);
+  for (std::size_t s = 0; s < kEntries; ++s) {
+    const bool dropped = s >= kPutAlign && s < 2 * kPutAlign;
+    ASSERT_EQ(packed.get(s), dropped ? 7 : want[s]) << "state " << s;
+  }
+}
+
+// Every bit of every spilled extent is covered by that extent's digest
+// and by no other: flipping any one bit drops exactly its extent.
+TEST(DiskStore, FlippingAnySingleBitDropsExactlyThatExtent) {
+  tests::TempDir dir("store_bitflip");
+  constexpr std::uint32_t kBits = 5;
+  constexpr std::size_t kEntries = 2 * kPutAlign + 37;  // ragged tail
+  const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
+  {
+    DiskStore store(kBits, dir.path().string(), kEntries);
+    spill_all(store, want);
+  }
+  const std::uint64_t bytes = (std::uint64_t{kEntries} * kBits + 7) / 8;
+  const std::uint64_t extent_bytes = kPutAlign * kBits / 8;
+  DiskStore reopened(kBits, dir.path().string(), kEntries);
+  ASSERT_EQ(reopened.resume().size(), 3u);
+  std::fstream f(dir.path() / "succ.dat",
+                 std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  for (std::uint64_t byte = 0; byte < bytes; ++byte) {
+    f.seekg(static_cast<std::streamoff>(byte));
+    const char orig = static_cast<char>(f.get());
+    for (int bit = 0; bit < 8; ++bit) {
+      f.seekp(static_cast<std::streamoff>(byte));
+      f.put(static_cast<char>(orig ^ (1 << bit))).flush();
+      const std::vector<DiskStore::Extent> kept = reopened.resume();
+      ASSERT_EQ(kept.size(), 2u) << "byte " << byte << " bit " << bit;
+      const StateCode poisoned = byte / extent_bytes * kPutAlign;
+      for (const DiskStore::Extent& e : kept) {
+        ASSERT_NE(e.first, poisoned) << "byte " << byte << " bit " << bit;
+      }
+    }
+    f.seekp(static_cast<std::streamoff>(byte));
+    f.put(orig).flush();
+  }
+  EXPECT_EQ(reopened.resume().size(), 3u);
+}
+
+// Manifests of the byte-wise digest format (v1) are rejected whole, even
+// when every digest they list matches the bytes on disk; the caller then
+// rebuilds the store, and its v2 manifest resumes in full.
+TEST(DiskStore, VersionOneManifestIsRejectedAndTheStoreRebuilt) {
+  tests::TempDir dir("store_v1");
+  constexpr std::uint32_t kBits = 11;
+  constexpr std::size_t kEntries = 2 * kPutAlign;
+  const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
+  {
+    DiskStore store(kBits, dir.path().string(), kEntries);
+    spill_all(store, want);
+  }
+  std::string data;
+  {
+    std::ifstream in(dir.path() / "succ.dat", std::ios::binary);
+    data.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t extent_bytes = kPutAlign * kBits / 8;
+  std::string v1 = "tca-succ-store v1\nbits=" + std::to_string(kBits) +
+                   "\nentries=" + std::to_string(kEntries) + "\n";
+  for (std::size_t e = 0; e < 2; ++e) {
+    v1 += "extent=" + std::to_string(e * kPutAlign) + "," +
+          std::to_string(kPutAlign) + "," +
+          std::to_string(core::fnv1a64(std::string_view(data).substr(
+              e * extent_bytes, extent_bytes))) +
+          "\n";
+  }
+  runtime::Checkpoint ckpt;
+  ckpt.payload = v1;
+  runtime::CheckpointStore((dir.path() / "manifest.ckpt").string()).save(ckpt);
+
+  {
+    DiskStore reopened(kBits, dir.path().string(), kEntries);
+    EXPECT_TRUE(reopened.resume().empty());
+    EXPECT_FALSE(reopened.complete());
+    spill_all(reopened, want);  // the rebuild
+  }
+  DiskStore rebuilt(kBits, dir.path().string(), kEntries);
+  EXPECT_EQ(rebuilt.resume().size(), 2u);
+  EXPECT_TRUE(rebuilt.complete());
+  std::vector<StateCode> got(kEntries);
+  rebuilt.read_range(0, kEntries, got.data());
+  EXPECT_EQ(got, want);
 }
 
 // --- factory / caps ----------------------------------------------------

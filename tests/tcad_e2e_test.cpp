@@ -13,6 +13,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -160,6 +161,38 @@ TEST(TcadE2e, PingAndCountersOps) {
     const JsonValue* h = histograms->find(stage);
     ASSERT_NE(h, nullptr) << stage;
     EXPECT_GE(h->u64_or("count", 0), 1u) << stage;
+  }
+
+  server.stop();
+}
+
+// A resumable (checkpointed) build shows what its spills and manifest
+// publications cost in the same counters reply as the derive time.
+TEST(TcadE2e, CheckpointCostShowsBesideDeriveTime) {
+  const TempDir dir;
+  ServerOptions options;
+  options.uds_path = dir.str() + "/tcad.sock";
+  options.handler.engine.ckpt_dir = dir.str() + "/ckpt";
+  TcadServer server(options);
+  server.start();
+
+  TcadClient client = TcadClient::connect_uds(server.uds_path());
+  const JsonValue answer = parse_json(client.call(
+      R"({"op":"query","id":1,"query":{"kind":"attractor-summary","n":17,)"
+      R"("radius":1,"rule":"majority","topology":"ring"}})"));
+  ASSERT_EQ(answer.string_or("status", ""), "ok");
+  const JsonValue after =
+      parse_json(client.call(R"({"op":"counters","id":2})"));
+  const JsonValue* histograms = after.find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  // n = 17 is two 2^16-state shards: two spills, at least one manifest.
+  for (const auto& [stage, at_least] :
+       {std::pair<const char*, std::uint64_t>{"store.spill_us", 2},
+        {"store.publish_us", 1},
+        {"service.stage.derive_us", 1}}) {
+    const JsonValue* h = histograms->find(stage);
+    ASSERT_NE(h, nullptr) << stage;
+    EXPECT_GE(h->u64_or("count", 0), at_least) << stage;
   }
 
   server.stop();
